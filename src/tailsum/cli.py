@@ -18,9 +18,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .distributions import Pareto, PowerEndpoint, StretchedTail
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, UndefinedEstimateError
 from .estimators import (
     TailWindow,
+    index_estimate,
     log_transform,
     spacings,
     sum_product_ladder,
@@ -164,10 +165,14 @@ def cmd_estimate(args):
     statistics = []
     for p in range(1, args.pmax + 1):
         t = ladder[p - 1]
+        try:
+            estimate = index_estimate(t, p)
+        except UndefinedEstimateError:
+            estimate = None
         entry = {
             "p": p,
             "statistic": t,
-            "index_estimate": (t ** (-1.0 / p)) if t > 0 else None,
+            "index_estimate": estimate,
             "lil_envelope": lil_envelope(p, domain, args.k, sample.n) if args.k >= 3 else None,
         }
         statistics.append(entry)

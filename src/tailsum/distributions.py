@@ -1,6 +1,7 @@
 """Test distributions, one per domain of attraction, with exact quantiles,
-a deterministic counter-based sampler, and the iterated tail integrals
-needed to center the statistics.
+a deterministic counter-based sampler (of the full sample, or of only its
+top order statistics), and the iterated tail integrals needed to center
+the statistics.
 
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
@@ -25,6 +26,7 @@ __all__ = [
     "StretchedTail",
     "quantile",
     "sample_iid",
+    "sample_top",
     "m_p_value",
     "m_p_quadrature",
     "tau_p",
@@ -201,7 +203,8 @@ def quantile(dist, u):
 
 def _philox(label, seed):
     digest = hashlib.sha256(f"{label}:{seed}".encode()).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
+    # little-endian on every host, so the stream does not depend on byte order
+    key = np.frombuffer(digest[:16], dtype="<u8")
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -214,10 +217,25 @@ def sample_iid(dist, seed, n):
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    rng = _philox("sample", seed)
-    u = rng.random(n)
+    u = _philox("sample", seed).random(n)
     y = np.sort(dist._y_quantile(u))
     return SortedSample(y, below_support=bool(y[0] < 0.0))
+
+
+def sample_top(dist, seed, n, k):
+    """
+    The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
+    the sample ``sample_iid(dist, seed, n)``, ascending.
+
+    The same n uniforms are drawn, but only the k+1 largest are selected
+    and transformed; the quantile is non-decreasing, so the result equals
+    ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.
+    """
+    if not (0 < k < n):
+        raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
+    u = _philox("sample", seed).random(n)
+    u.partition(n - k - 1)
+    return np.sort(dist._y_quantile(u[n - k - 1 :]))
 
 
 def m_p_quadrature(dist, p, x, rtol=1e-10):

@@ -3,8 +3,8 @@
 The order-p statistic averages, over all ordered compositions of p and all
 strictly decreasing index chains inside a tail window, weighted products of
 powers of the log-spacings.  Two independent algorithms are provided: a
-brute-force enumeration over chains (``sum_product_enum``) and an exact
-dynamic program over the spacing intervals (``sum_product``), together with
+brute-force enumeration over chains (``sum_product_enum``) and a closed
+form over the top order statistics (``sum_product``), together with
 the classical Hill statistic and the moment form available when l = 0.
 """
 
@@ -28,6 +28,7 @@ __all__ = [
     "sum_product_enum",
     "sum_product_ladder",
     "tail_moment",
+    "index_estimate",
     "tail_index",
 ]
 
@@ -135,42 +136,36 @@ def hill(sample, window):
     return math.fsum(idx * d.values) / window.k
 
 
-def _ladder_values(sample, window, pmax):
-    """Iterated-integral dynamic program shared by the order-1..pmax statistics.
+def _ladder_values(top, l, pmax):
+    """Closed-form statistics of order 1..pmax from the top order statistics.
 
-    Walking the spacing intervals from the top of the window downward, the
-    running iterated integrals F_1..F_pmax of the empirical tail step
-    function are pushed across each interval of width D by
+    ``top`` holds Y_{n-k,n} <= ... <= Y_{n,n} along its trailing axis.  With
+    e_j = Y_{n-j,n} - Y_{n-k,n}, summation by parts of the iterated integral
+    of the tail step function gives
 
-        F_m(left) = sum_{q=0..m-1} F_{m-q}(right) D^q/q!  +  (i/n) D^m/m!
+        T_p = (l e_l^p + sum_{j=l..k-1} e_j^p) / (k p!),
 
-    and the order-m statistic is (n/k) F_m at the lower window edge.
+    a sum of non-negative terms at cost O(pk).  Leading axes are kept, so a
+    reps x (k+1) block yields a reps x pmax array of statistics.
     """
-    window.check(sample)
     if pmax < 1:
         raise DomainError(f"order must be >= 1, got {pmax}")
-    n, k, l = window.n, window.k, window.l
-    y = sample.values
-    inv_fact = [1.0 / math.factorial(q) for q in range(pmax + 1)]
-    F = [0.0] * (pmax + 1)
-    for i in range(l + 1, k + 1):
-        d = y[n - i] - y[n - i - 1]
-        c = i / n
-        pw = [1.0] * (pmax + 1)
-        for q in range(1, pmax + 1):
-            pw[q] = pw[q - 1] * d
-        for q in range(pmax + 1):
-            pw[q] *= inv_fact[q]
-        new = [0.0] * (pmax + 1)
-        for m in range(1, pmax + 1):
-            new[m] = math.fsum([F[m - q] * pw[q] for q in range(m)] + [c * pw[m]])
-        F = new
-    return [(n / k) * F[m] for m in range(1, pmax + 1)]
+    top = np.asarray(top, dtype=float)
+    k = top.shape[-1] - 1
+    # excess[..., i] = e_{k-1-i}; the window keeps e_l .. e_{k-1}
+    excess = top[..., 1 : k - l + 1] - top[..., :1]
+    power = np.ones_like(excess)
+    out = np.empty(top.shape[:-1] + (pmax,))
+    for p in range(1, pmax + 1):
+        power *= excess
+        out[..., p - 1] = (l * power[..., -1] + power.sum(axis=-1)) / (k * math.factorial(p))
+    return out
 
 
 def sum_product(sample, window, p):
     """
-    Order-p sum-product statistic via the exact interval dynamic program.
+    Order-p sum-product statistic via the closed form over the top
+    order statistics (see ``_ladder_values``).
 
     Parameters
     ----------
@@ -187,12 +182,14 @@ def sum_product(sample, window, p):
         The statistic value; non-negative, and zero exactly when every
         spacing in the window is zero.
     """
-    return _ladder_values(sample, window, p)[p - 1]
+    return sum_product_ladder(sample, window, p)[p - 1]
 
 
 def sum_product_ladder(sample, window, pmax):
-    """All statistics of order 1..pmax from one dynamic-programming pass."""
-    return _ladder_values(sample, window, pmax)
+    """All statistics of order 1..pmax from one closed-form pass."""
+    window.check(sample)
+    top = sample.values[window.n - window.k - 1 :]
+    return [float(t) for t in _ladder_values(top, window.l, pmax)]
 
 
 def _enum_chain_count(m, p):
@@ -249,14 +246,28 @@ def tail_moment(sample, window, p):
     return math.fsum(excess**p) / (k * math.factorial(p))
 
 
-def tail_index(sample, window, p):
+def index_estimate(t, p):
     """
-    Index estimate T^(-1/p) from the order-p statistic.  Raises
-    UndefinedEstimateError when the statistic vanishes (fully tied window).
+    Index estimate t^(-1/p) from an order-p statistic value.  Raises
+    UndefinedEstimateError when the statistic vanishes (fully tied window)
+    or is so small that the estimate overflows a float.
     """
-    t = sum_product(sample, window, p)
+    t = float(t)
     if t <= 0.0:
         raise UndefinedEstimateError(
             f"order-{p} statistic is {t}; the index estimate is undefined"
         )
-    return t ** (-1.0 / p)
+    try:
+        return t ** (-1.0 / p)
+    except OverflowError:
+        raise UndefinedEstimateError(
+            f"order-{p} statistic is {t}; the index estimate overflows"
+        ) from None
+
+
+def tail_index(sample, window, p):
+    """
+    Index estimate T^(-1/p) from the order-p statistic; see ``index_estimate``
+    for when it is undefined.
+    """
+    return index_estimate(sum_product(sample, window, p), p)

@@ -1,10 +1,11 @@
 """Empirical verification harness.
 
 ``run_experiment`` replays the limit theorems at finite sample sizes:
-it draws replicated samples, normalizes the statistic ladder under either
-the random-threshold or the deterministic-threshold centering, and compares
-empirical moments against the covariance model.  ``limit_covariance_quadrature``
-is a deterministic 2-D Simpson oracle for the unit limit covariance, used by
+it draws the top order statistics of replicated samples, normalizes the
+statistic ladder under either the random-threshold or the
+deterministic-threshold centering, and compares empirical moments against
+the covariance model.  ``limit_covariance_quadrature`` is a deterministic
+2-D Simpson oracle for the unit limit covariance, used by
 ``adjudicate_covariance`` to cross-examine the recursion, the closed form,
 and a previously tabulated matrix whose off-diagonal entries are in doubt.
 """
@@ -16,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import sample_iid, tau_p, tau_p_at
+from .distributions import sample_top, tau_p, tau_p_at
 from .errors import DomainError
-from .estimators import TailWindow, sum_product_ladder
+from .estimators import TailWindow, _ladder_values
 from .limits import CovarianceModel, DomainKind, covariance, covariance_closed
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
+    "replication_block",
     "QuadratureConfig",
     "limit_covariance_quadrature",
     "adjudicate_covariance",
@@ -125,50 +127,77 @@ class ExperimentReport:
         }
 
 
+# replications per block; blocks are fixed by replication index, never by
+# the worker count
+BLOCK = 32
+
+
 def _rep_seed(seed, rep):
     digest = hashlib.sha256(f"{seed}:{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _one_replication(config, window, tau_fixed, rep):
-    sample = sample_iid(config.dist, _rep_seed(config.seed, rep), config.n)
-    ladder = sum_product_ladder(sample, window, config.pmax)
+def replication_block(config, tau_fixed, lo, hi):
+    """
+    Normalized statistic ladders of replications lo .. hi-1, as an
+    (hi-lo) x pmax array.
+
+    Row i is sqrt(k) (T_p - center_p) / tau_p at the deterministic
+    threshold, where T_p comes from the top k+1 order statistics of the
+    sample keyed by replication lo+i, and the center is ``tau_fixed`` under
+    fixed centering or the centering value at that sample's own threshold
+    Y_{n-k,n} under random centering.  Each row depends on its replication
+    index only.
+    """
+    if not (0 <= lo < hi):
+        raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
+    n, k, pmax = config.n, config.k, config.pmax
+    window = TailWindow(n, k, config.l)
+    top = np.stack(
+        [sample_top(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
+    )
+    ladder = _ladder_values(top, config.l, pmax)
+    tau = np.asarray(tau_fixed)
     if config.centering == "fixed":
-        center = tau_fixed
+        center = tau
     else:
-        threshold = float(sample.values[config.n - config.k - 1])
-        center = [
-            tau_p_at(config.dist, p, window, threshold) for p in range(1, config.pmax + 1)
-        ]
-    root_k = math.sqrt(config.k)
-    return [
-        root_k * (ladder[p - 1] - center[p - 1]) / tau_fixed[p - 1]
-        for p in range(1, config.pmax + 1)
-    ]
+        center = np.array(
+            [
+                [tau_p_at(config.dist, p, window, float(threshold)) for p in range(1, pmax + 1)]
+                for threshold in top[:, 0]
+            ]
+        )
+    return math.sqrt(k) * (ladder - center) / tau
 
 
 def run_experiment(config, workers=1):
     """
     Run the replicated experiment and aggregate moments.
 
-    Replication results are stored by replication index and reduced in that
-    fixed order, so the report is bit-identical for any ``workers`` count.
+    Replications run in blocks of ``BLOCK`` consecutive indices, which
+    ``workers`` threads share; each block writes its own rows and the rows
+    are reduced in index order, so the report is bit-identical for any
+    ``workers`` count.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     window = TailWindow(config.n, config.k, config.l)
     tau_fixed = [tau_p(config.dist, p, window) for p in range(1, config.pmax + 1)]
 
     stats = np.empty((config.reps, config.pmax))
-    if workers <= 1:
-        for rep in range(config.reps):
-            stats[rep] = _one_replication(config, window, tau_fixed, rep)
+    blocks = range(0, config.reps, BLOCK)
+
+    def fill(lo):
+        hi = min(lo + BLOCK, config.reps)
+        stats[lo:hi] = replication_block(config, tau_fixed, lo, hi)
+
+    pool_size = min(workers, len(blocks))
+    if pool_size == 1:
+        for lo in blocks:
+            fill(lo)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = pool.map(
-                lambda rep: _one_replication(config, window, tau_fixed, rep),
-                range(config.reps),
-            )
-            for rep, row in enumerate(rows):
-                stats[rep] = row
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            list(pool.map(fill, blocks))
 
     reps = config.reps
     means = stats.mean(axis=0)

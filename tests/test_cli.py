@@ -88,6 +88,19 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, "estimate", "--input", str(path), "--k", "2")
         assert code == EXIT_PARSE
 
+    def test_unrepresentable_index_is_null(self, capsys, datafile, monkeypatch):
+        # parsed log spacings are never this small, so the ladder is stubbed
+        import tailsum.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "sum_product_ladder", lambda *args: [5e-321, 0.0])
+        code, out, _ = run_cli(
+            capsys, "estimate", "--input", datafile, "--k", "3", "--pmax", "2"
+        )
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert [entry["index_estimate"] for entry in results] == [None, None]
+        assert results[0]["statistic"] == 5e-321
+
     def test_csv_format(self, capsys, datafile):
         code, out, _ = run_cli(
             capsys,
@@ -216,6 +229,11 @@ class TestMonteCarloCommand:
             _, out, _ = run_cli(capsys, *self.ARGS, "--workers", workers)
             outputs.append(strip_timestamp(out))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_workers_must_be_positive(self, capsys):
+        code, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")
+        assert code == EXIT_PARAMS
+        assert "workers" in err
 
     def test_rerun_from_manifest(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)

@@ -14,6 +14,7 @@ from tailsum import (
     m_p_value,
     quantile,
     sample_iid,
+    sample_top,
     tau_p,
     tau_p_at,
 )
@@ -83,6 +84,39 @@ class TestSampler:
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
             sample_iid(Pareto(1.0), 1, 1)
+
+    def test_generator_key_is_little_endian(self):
+        # the first 16 bytes of sha256(b"sample:7"), read as two
+        # little-endian words on every host
+        from tailsum.distributions import _philox
+
+        key = _philox("sample", 7).bit_generator.state["state"]["key"]
+        assert key.tolist() == [10490813079733592494, 2261213667301508236]
+
+
+TOP_DISTS = [Pareto(1.0), StretchedTail(), PowerEndpoint(1.5)]
+
+
+class TestTopSampler:
+    @pytest.mark.parametrize("dist", TOP_DISTS)
+    def test_matches_full_sample_tail(self, dist):
+        for seed in range(40):
+            n = (10, 257, 3000)[seed % 3]
+            for k in (1, 2, n // 7, n // 2, n - 1):
+                full = sample_iid(dist, seed, n).values
+                assert np.array_equal(sample_top(dist, seed, n, k), full[n - k - 1 :])
+
+    @pytest.mark.parametrize("dist", TOP_DISTS)
+    def test_matches_at_acceptance_scale(self, dist):
+        n, k = 100_000, 1000
+        for seed in (0, 20260810):
+            full = sample_iid(dist, seed, n).values
+            assert np.array_equal(sample_top(dist, seed, n, k), full[n - k - 1 :])
+
+    def test_window_rejected(self):
+        for n, k in [(10, 0), (10, 10), (10, 11)]:
+            with pytest.raises(DomainError):
+                sample_top(Pareto(1.0), 1, n, k)
 
 
 class TestIteratedTailIntegral:

@@ -12,6 +12,7 @@ from tailsum import (
     TailWindow,
     UndefinedEstimateError,
     hill,
+    index_estimate,
     log_transform,
     spacings,
     sum_product,
@@ -221,6 +222,39 @@ class TestLadder:
             assert ladder[p - 1] == sum_product(s, w, p)
 
 
+class TestBatchedLadder:
+    # the closed form is vectorized over leading axes: one row per sample,
+    # holding its top k+1 order statistics
+    def test_rows_match_single_sample_ladder(self):
+        from tailsum.estimators import _ladder_values
+
+        rng = np.random.default_rng(8)
+        k, pmax = 40, 5
+        block = np.sort(rng.exponential(size=(12, k + 1)), axis=-1)
+        for l in (0, 3, k - 1):
+            batched = _ladder_values(block, l, pmax)
+            assert batched.shape == (12, pmax)
+            window = TailWindow(k + 1, k, l)
+            for row, values in zip(block, batched):
+                assert values.tolist() == sum_product_ladder(SortedSample(row), window, pmax)
+
+    def test_rows_match_enumeration_with_positive_l(self):
+        from tailsum.estimators import _ladder_values
+
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            k = int(rng.integers(3, 13))
+            l = int(rng.integers(1, k))
+            pmax = int(rng.integers(1, 5))
+            block = np.sort(rng.pareto(1.5, size=(4, k + 1)), axis=-1)
+            batched = _ladder_values(block, l, pmax)
+            window = TailWindow(k + 1, k, l)
+            for row, values in zip(block, batched):
+                for p in range(1, pmax + 1):
+                    naive = sum_product_enum(SortedSample(row), window, p)
+                    assert abs(values[p - 1] - naive) <= 1e-10 * max(1.0, abs(naive))
+
+
 class TestTailIndex:
     def test_quarter_statistic(self):
         # scale a sample so the order-2 statistic is exactly 0.25
@@ -243,3 +277,15 @@ class TestTailIndex:
         s = SortedSample(np.ones(5))
         with pytest.raises(UndefinedEstimateError):
             tail_index(s, TailWindow(5, 3, 0), 1)
+
+    def test_overflowing_estimate(self):
+        # the order-1 statistic is 5e-321, whose reciprocal is not a float
+        s = SortedSample([0.0, 0.0, 1e-320])
+        with pytest.raises(UndefinedEstimateError):
+            tail_index(s, TailWindow(3, 2, 0), 1)
+
+    def test_index_estimate_of_a_value(self):
+        assert index_estimate(0.25, 2) == pytest.approx(2.0, rel=1e-15)
+        for t in (0.0, 5e-321):
+            with pytest.raises(UndefinedEstimateError):
+                index_estimate(t, 1)

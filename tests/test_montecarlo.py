@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,12 +11,25 @@ from tailsum import (
     Pareto,
     PowerEndpoint,
     QuadratureConfig,
+    StretchedTail,
+    TailWindow,
     adjudicate_covariance,
     covariance_closed,
     limit_covariance_quadrature,
+    replication_block,
     run_experiment,
+    sample_iid,
+    sum_product_ladder,
+    tau_p,
+    tau_p_at,
 )
-from tailsum.montecarlo import REFERENCE_COVARIANCE
+from tailsum.montecarlo import BLOCK, REFERENCE_COVARIANCE
+
+
+def rep_seed(seed, rep):
+    """The sample seed of a replication, written out to pin the stream."""
+    digest = hashlib.sha256(f"{seed}:{rep}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class TestQuadratureOracle:
@@ -142,33 +156,92 @@ class TestRunExperiment:
     def test_normality_of_order_one_statistic(self):
         # the normalized order-1 statistic is a standardized mean of k
         # exponential spacings; its kurtosis at k=1000 sits near 3
-        from tailsum.montecarlo import _one_replication
-        from tailsum.estimators import TailWindow
-        from tailsum.distributions import tau_p
-
         config = ExperimentConfig(
             Pareto(1.0), 3000, 1000, 0, 1, 5000, 17, centering="fixed"
         )
         window = TailWindow(3000, 1000, 0)
         taus = [tau_p(Pareto(1.0), 1, window)]
-        z = np.array(
-            [_one_replication(config, window, taus, rep)[0] for rep in range(5000)]
-        )
+        z = replication_block(config, taus, 0, 5000)[:, 0]
         kurt = float(((z - z.mean()) ** 4).mean() / z.var() ** 2)
         assert abs(kurt - 3.0) <= 0.3
 
     def test_variance_matches_direct_moments(self):
-        from tailsum.montecarlo import _one_replication
-        from tailsum.estimators import TailWindow
-        from tailsum.distributions import tau_p
-
         config = ExperimentConfig(Pareto(1.0), 800, 60, 0, 2, 50, 23, centering="fixed")
         report = run_experiment(config)
         window = TailWindow(800, 60, 0)
         taus = [tau_p(Pareto(1.0), p, window) for p in (1, 2)]
-        z = np.array([_one_replication(config, window, taus, rep) for rep in range(50)])
+        z = replication_block(config, taus, 0, 50)
         assert report.variance(1) == pytest.approx(float(z[:, 0].var(ddof=1)))
         assert report.variance(2) == pytest.approx(float(z[:, 1].var(ddof=1)))
+
+    @pytest.mark.parametrize(
+        "dist, centering, l",
+        [
+            (Pareto(1.0), "random", 0),
+            (Pareto(2.0), "fixed", 4),
+            (StretchedTail(), "random", 0),
+            (PowerEndpoint(1.5), "random", 3),
+        ],
+    )
+    def test_matches_full_sample_loop(self, dist, centering, l):
+        # reference: every replication sorts its whole sample and runs the
+        # single-sample ladder
+        n, k, pmax, reps, seed = 3000, 150, 3, BLOCK + 7, 29
+        config = ExperimentConfig(dist, n, k, l, pmax, reps, seed, centering=centering)
+        window = TailWindow(n, k, l)
+        taus = [tau_p(dist, p, window) for p in range(1, pmax + 1)]
+        rows = []
+        for rep in range(reps):
+            sample = sample_iid(dist, rep_seed(seed, rep), n)
+            ladder = sum_product_ladder(sample, window, pmax)
+            threshold = float(sample.values[n - k - 1])
+            center = taus if centering == "fixed" else [
+                tau_p_at(dist, p, window, threshold) for p in range(1, pmax + 1)
+            ]
+            rows.append(
+                [math.sqrt(k) * (t - c) / tau for t, c, tau in zip(ladder, center, taus)]
+            )
+        expected = np.array(rows)
+        assert np.allclose(replication_block(config, taus, 0, reps), expected, rtol=0, atol=1e-12)
+        report = run_experiment(config, workers=2)
+        assert np.allclose(report.means, expected.mean(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(report.covariance, np.cov(expected.T), rtol=0, atol=1e-12)
+
+    def test_blocks_depend_on_replication_index_only(self):
+        config = ExperimentConfig(Pareto(1.0), 1000, 50, 0, 2, 40, 9, centering="random")
+        taus = [tau_p(Pareto(1.0), p, TailWindow(1000, 50, 0)) for p in (1, 2)]
+        whole = replication_block(config, taus, 0, 40)
+        parts = np.vstack([replication_block(config, taus, lo, lo + 8) for lo in range(0, 40, 8)])
+        assert np.array_equal(whole, parts)
+        for lo, hi in [(5, 5), (6, 2), (-1, 3)]:
+            with pytest.raises(DomainError):
+                replication_block(config, taus, lo, hi)
+
+    def test_pool_is_sized_by_blocks(self, monkeypatch):
+        import tailsum.montecarlo as mc
+
+        sizes = []
+
+        class RecordingPool(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        three_blocks = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, 2 * BLOCK + 1, 4)
+        one_block = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, BLOCK, 4)
+        reference = run_experiment(three_blocks).to_dict()
+        assert sizes == []  # one worker runs the blocks inline
+        for workers in (2, 10**9):
+            assert run_experiment(three_blocks, workers=workers).to_dict() == reference
+        run_experiment(one_block, workers=10**9)
+        assert sizes == [2, 3]
+
+    def test_workers_must_be_positive(self):
+        config = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, 4, 4)
+        for workers in (0, -3):
+            with pytest.raises(DomainError):
+                run_experiment(config, workers=workers)
 
 
 class TestWeibullDomainRun:
