@@ -54,10 +54,7 @@ from .limits import (
     covariance_factor,
     lil_envelope,
     reduced_covariance,
-    reduced_variance,
     shift_factor,
-    variance,
-    variance_factor,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -114,10 +111,7 @@ __all__ = [
     "covariance_factor",
     "lil_envelope",
     "reduced_covariance",
-    "reduced_variance",
     "shift_factor",
-    "variance",
-    "variance_factor",
     "ExperimentConfig",
     "ExperimentReport",
     "QuadratureConfig",

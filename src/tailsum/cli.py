@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -51,34 +50,15 @@ _FAMILY_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(command, parameters, seed=None):
     """Reproducibility record embedded in every output."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command, parameters, seed=None):
-        return cls(
-            command=command,
-            parameters=parameters,
-            seed=seed,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
+    return {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,16 +67,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAMS, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path, text):
+def _write_report(path, fmt, manifest, payload=None, rows=None):
+    """Write a report to ``path`` (stdout for None or "-"): as json, the
+    manifest followed by ``payload``; as csv, ``rows`` followed by a
+    ``# manifest:`` trailer line."""
+    if fmt == "json":
+        text = json.dumps({"manifest": manifest, **payload}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        buf.write(f"# manifest: {json.dumps(manifest)}\n")
+        text = buf.getvalue()
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _json_report(payload):
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def read_observations(path):
@@ -176,7 +162,7 @@ def cmd_estimate(args):
             "lil_envelope": lil_envelope(p, domain, args.k, sample.n) if args.k >= 3 else None,
         }
         statistics.append(entry)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "estimate",
         {
             "input": args.input,
@@ -188,30 +174,22 @@ def cmd_estimate(args):
             "format": args.format,
         },
     )
-    if args.format == "json":
-        payload = {
-            "manifest": manifest.to_dict(),
-            "n": sample.n,
-            "below_support": sample.below_support,
-            "degenerate_window": gaps.is_degenerate,
-            "results": statistics,
-        }
-        _write_text(args.output, _json_report(payload))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["p", "statistic", "index_estimate", "lil_envelope"])
-        for entry in statistics:
-            writer.writerow(
-                [
-                    entry["p"],
-                    repr(entry["statistic"]),
-                    "" if entry["index_estimate"] is None else repr(entry["index_estimate"]),
-                    "" if entry["lil_envelope"] is None else repr(entry["lil_envelope"]),
-                ]
-            )
-        buf.write(f"# manifest: {json.dumps(manifest.to_dict())}\n")
-        _write_text(args.output, buf.getvalue())
+    payload = {
+        "n": sample.n,
+        "below_support": sample.below_support,
+        "degenerate_window": gaps.is_degenerate,
+        "results": statistics,
+    }
+    rows = [["p", "statistic", "index_estimate", "lil_envelope"]] + [
+        [
+            entry["p"],
+            repr(entry["statistic"]),
+            "" if entry["index_estimate"] is None else repr(entry["index_estimate"]),
+            "" if entry["lil_envelope"] is None else repr(entry["lil_envelope"]),
+        ]
+        for entry in statistics
+    ]
+    _write_report(args.output, args.format, manifest, payload, rows)
     return EXIT_OK
 
 
@@ -221,18 +199,14 @@ def cmd_tables(args):
     if family in ("type_ii", "type_iii") and tau is None:
         raise DomainError(f"--family {args.family} requires --tau")
     table = NumberTable.build(family, args.vmax, args.dmax, tau=tau)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "tables",
         {"family": family, "tau": tau, "vmax": args.vmax, "dmax": table.dmax},
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     col_label = "r" if family == "type_i" else "delta"
-    writer.writerow([f"v\\{col_label}"] + list(range(1, table.dmax + 1)))
-    for v in range(table.vmax + 1):
-        writer.writerow([v] + table.row(v))
-    buf.write(f"# manifest: {json.dumps(manifest.to_dict())}\n")
-    _write_text(args.output, buf.getvalue())
+    rows = [[f"v\\{col_label}"] + list(range(1, table.dmax + 1))]
+    rows += [[v] + table.row(v) for v in range(table.vmax + 1)]
+    _write_report(args.output, "csv", manifest, rows=rows)
     return EXIT_OK
 
 
@@ -242,7 +216,7 @@ def cmd_covariance(args):
         raise DomainError(f"--pmax must lie in [1, 8], got {args.pmax}")
     model = CovarianceModel.build(domain, args.pmax)
     matrix = model.reduced_matrix() if args.reduced else model.sigma
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "covariance",
         {
             "domain": args.domain,
@@ -252,21 +226,10 @@ def cmd_covariance(args):
             "format": args.format,
         },
     )
-    if args.format == "json":
-        payload = {
-            "manifest": manifest.to_dict(),
-            "matrix": [list(row) for row in matrix],
-            "shift_factors": list(model.e),
-        }
-        _write_text(args.output, _json_report(payload))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r\\rho"] + list(range(1, args.pmax + 1)))
-        for r in range(1, args.pmax + 1):
-            writer.writerow([r] + [repr(float(x)) for x in matrix[r - 1]])
-        buf.write(f"# manifest: {json.dumps(manifest.to_dict())}\n")
-        _write_text(args.output, buf.getvalue())
+    payload = {"matrix": [list(row) for row in matrix], "shift_factors": list(model.e)}
+    rows = [["r\\rho"] + list(range(1, args.pmax + 1))]
+    rows += [[r] + [repr(float(x)) for x in matrix[r - 1]] for r in range(1, args.pmax + 1)]
+    _write_report(args.output, args.format, manifest, payload, rows)
     return EXIT_OK
 
 
@@ -283,7 +246,7 @@ def cmd_mc(args):
         centering="fixed" if args.reduced else "random",
     )
     report = run_experiment(config, workers=args.workers)
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "mc",
         {
             "dist": args.dist,
@@ -298,8 +261,7 @@ def cmd_mc(args):
         },
         seed=args.seed,
     )
-    payload = {"manifest": manifest.to_dict(), "report": report.to_dict()}
-    _write_text(args.output, _json_report(payload))
+    _write_report(args.output, "json", manifest, {"report": report.to_dict()})
     return EXIT_OK
 
 
@@ -319,16 +281,11 @@ def cmd_oracle(args):
             "half_grid_value": coarse,
             "refinement_difference": value - coarse,
         }
-    manifest = RunManifest.create(
+    manifest = _manifest(
         "oracle",
         {"r": args.r, "rho": args.rho, "grid": args.grid, "truncation": args.truncation},
     )
-    payload = {
-        "manifest": manifest.to_dict(),
-        "value": value,
-        "convergence": diagnostics,
-    }
-    _write_text(args.output, _json_report(payload))
+    _write_report(args.output, "json", manifest, {"value": value, "convergence": diagnostics})
     return EXIT_OK
 
 

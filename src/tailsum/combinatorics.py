@@ -6,7 +6,8 @@ All values are Python integers, so results are exact at any size.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations, repeat
 
 from .errors import DomainError
 
@@ -68,6 +69,23 @@ def _check_vr(v, r, rname="r"):
         raise DomainError(f"{rname} must be >= 1, got {r}")
 
 
+def _step(col, shift):
+    """Next column of a family: running sums of ``col`` from row ``shift``
+    on.  Shift 0 is the type II step; shift 1, which drops the top row, is
+    the two-cell rule shared by type I and type III."""
+    return list(accumulate(col[shift:]))
+
+
+def _walk(col, shift, steps):
+    """``col`` followed by the ``steps`` columns that ``_step`` makes from it."""
+    return accumulate(repeat(shift, steps), _step, initial=col)
+
+
+def _type_ii_base(tau, rows):
+    """Type II delta = 1 column, rows 0..rows-1: ones summed tau - 1 times."""
+    return reduce(_step, repeat(0, tau - 1), [1] * rows)
+
+
 def type_i(v, r):
     """
     Type I number at (v, r).
@@ -75,32 +93,14 @@ def type_i(v, r):
     Columns r = 1, 2 are all ones; for r >= 3 each column is filled from
     the previous one by the two-cell addition rule
         value(0, r) = value(1, r-1)
-        value(v, r) = value(v+1, r-1) + value(v-1, r),  v >= 1.
+        value(v, r) = value(v+1, r-1) + value(v-1, r),  v >= 1,
+    that is, by the running sums of the previous column without its top row.
     """
     _check_vr(v, r)
     if r <= 2:
         return 1
     # column c must extend to row v + (r - c) to feed the next column
-    col = [1] * (v + r - 1)
-    for c in range(3, r + 1):
-        need = v + r - c
-        new = [0] * (need + 1)
-        new[0] = col[1]
-        for vv in range(1, need + 1):
-            new[vv] = col[vv + 1] + new[vv - 1]
-        col = new
-    return col[v]
-
-
-def _type_ii_column(tau, delta, vmax):
-    """Column of type II numbers for fixed delta, rows v = 0..vmax."""
-    col = [1] * (vmax + 1)  # delta == tau column
-    for _ in range(tau - 1, delta - 1, -1):
-        new = [1] * (vmax + 1)
-        for vv in range(1, vmax + 1):
-            new[vv] = new[vv - 1] + col[vv]
-        col = new
-    return col
+    return reduce(_step, repeat(1, r - 2), [1] * (v + r - 1))[v]
 
 
 def type_ii(tau, v, delta):
@@ -108,7 +108,8 @@ def type_ii(tau, v, delta):
     Type II number at (v, delta) within the tau-class.
 
     The rightmost column (delta = tau) and the top row (v = 0) are ones;
-    interior cells satisfy value(v, d) = value(v-1, d) + value(v, d+1).
+    interior cells satisfy value(v, d) = value(v-1, d) + value(v, d+1), so
+    column delta is the ones column summed tau - delta times.
     """
     if tau < 1:
         raise DomainError(f"tau must be >= 1, got {tau}")
@@ -116,18 +117,7 @@ def type_ii(tau, v, delta):
         raise DomainError(f"v must be >= 0, got {v}")
     if delta < 1 or delta > tau:
         raise DomainError(f"delta must lie in [1, {tau}], got {delta}")
-    return _type_ii_column(tau, delta, v)[v]
-
-
-def _type_iii_seed_column(tau, vmax):
-    """delta = 2 column: running sums of the type II delta = 1 column."""
-    base = _type_ii_column(tau, 1, vmax + 1)
-    out = [0] * (vmax + 1)
-    acc = 0
-    for vv in range(vmax + 1):
-        acc += base[vv + 1]
-        out[vv] = acc
-    return out
+    return reduce(_step, repeat(0, tau - delta), [1] * (v + 1))[v]
 
 
 def type_iii(tau, v, delta):
@@ -147,17 +137,7 @@ def type_iii(tau, v, delta):
         raise DomainError(f"delta must be >= 0, got {delta}")
     if delta == 0:
         return 1
-    if delta == 1:
-        return type_ii(tau, v, 1)
-    col = _type_iii_seed_column(tau, v + delta - 2)
-    for d in range(3, delta + 1):
-        need = v + delta - d
-        new = [0] * (need + 1)
-        new[0] = col[1]
-        for vv in range(1, need + 1):
-            new[vv] = col[vv + 1] + new[vv - 1]
-        col = new
-    return col[v]
+    return reduce(_step, repeat(1, delta - 1), _type_ii_base(tau, v + delta))[v]
 
 
 def variance_number(r):
@@ -250,21 +230,19 @@ class NumberTable:
     def build(cls, family, vmax, dmax, tau=None):
         if vmax < 0 or dmax < 1:
             raise DomainError("table shape must satisfy vmax >= 0, dmax >= 1")
-        if family == "type_i":
-            fn = lambda v, c: type_i(v, c)
-            tau = None
-        elif family == "type_ii":
-            if tau is None:
-                raise DomainError("type_ii tables need tau")
-            dmax = min(dmax, tau)
-            fn = lambda v, c: type_ii(tau, v, c)
-        elif family == "type_iii":
-            if tau is None:
-                raise DomainError("type_iii tables need tau")
-            fn = lambda v, c: type_iii(tau, v, c)
-        else:
+        if family not in _FAMILIES:
             raise DomainError(f"unknown family {family!r}")
-        entries = {(v, c): fn(v, c) for v in range(vmax + 1) for c in range(1, dmax + 1)}
+        if family == "type_i":
+            tau = None
+            columns = [[1] * (vmax + 1), *_walk([1] * (vmax + dmax - 1), 1, dmax - 2)]
+        elif tau is None or tau < 1:
+            raise DomainError(f"{family} tables need tau >= 1, got {tau}")
+        elif family == "type_ii":
+            dmax = min(dmax, tau)
+            columns = list(_walk([1] * (vmax + 1), 0, tau - 1))[::-1]
+        else:
+            columns = list(_walk(_type_ii_base(tau, vmax + dmax), 1, dmax - 1))
+        entries = {(v, c): columns[c - 1][v] for v in range(vmax + 1) for c in range(1, dmax + 1)}
         return cls(family, tau, vmax, dmax, entries)
 
     def value(self, v, c):

@@ -9,6 +9,7 @@ the classical Hill statistic and the moment form available when l = 0.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -152,6 +153,8 @@ def _ladder_values(top, l, pmax):
         raise DomainError(f"order must be >= 1, got {pmax}")
     top = np.asarray(top, dtype=float)
     k = top.shape[-1] - 1
+    if k * math.factorial(pmax) > sys.float_info.max:
+        raise DomainError(f"k * pmax! must be a finite float, got k={k}, pmax={pmax}")
     # excess[..., i] = e_{k-1-i}; the window keeps e_l .. e_{k-1}
     excess = top[..., 1 : k - l + 1] - top[..., :1]
     power = np.ones_like(excess)

@@ -1,9 +1,9 @@
 """Covariance model of the limiting Gaussian process.
 
 The normalized sum-product statistics converge to a centered Gaussian
-ladder whose variance at order r is a domain factor times the exact integer
-``variance_number(r)`` and whose covariance couples a second domain factor
-with ``covariance_number(r, rho)``.  Replacing the random centering by a
+ladder whose covariance at orders (r, rho) is a domain factor times the
+exact integer ``covariance_number(r, rho)``; on the diagonal that integer is
+``variance_number(r)``.  Replacing the random centering by a
 deterministic one shifts the process by an index-dependent multiple of a
 common standard Gaussian, which the reduced formulas absorb.
 """
@@ -18,13 +18,10 @@ from .errors import DomainError
 
 __all__ = [
     "DomainKind",
-    "variance_factor",
     "covariance_factor",
     "shift_factor",
-    "variance",
     "covariance",
     "covariance_closed",
-    "reduced_variance",
     "reduced_covariance",
     "lil_envelope",
     "CovarianceModel",
@@ -69,25 +66,11 @@ class DomainKind:
         return self.kind == "weibull"
 
 
-def variance_factor(r, domain):
-    """Variance correction: prod_{j=1..r} (g+j)/(g+r+j) in the weibull
-    domain, 1 elsewhere."""
-    if r < 1:
-        raise DomainError(f"order must be >= 1, got {r}")
-    if not domain.uses_shape:
-        return 1.0
-    g = domain.gamma
-    out = 1.0
-    for j in range(1, r + 1):
-        out *= (g + j) / (g + r + j)
-    return out
-
-
 def covariance_factor(r, rho, domain):
-    """Covariance correction: prod_{j=1..r} (g+j)/(g+rho+j) for r < rho in
-    the weibull domain, 1 elsewhere."""
-    if not (1 <= r < rho):
-        raise DomainError(f"orders must satisfy 1 <= r < rho, got ({r}, {rho})")
+    """Covariance correction: prod_{j=1..r} (g+j)/(g+rho+j) for r <= rho in
+    the weibull domain, 1 elsewhere; rho = r gives the variance correction."""
+    if not (1 <= r <= rho):
+        raise DomainError(f"orders must satisfy 1 <= r <= rho, got ({r}, {rho})")
     if not domain.uses_shape:
         return 1.0
     g = domain.gamma
@@ -107,18 +90,11 @@ def shift_factor(p, domain):
     return (domain.gamma + p) / domain.gamma
 
 
-def variance(r, domain):
-    """Limit variance at order r under random centering."""
-    return variance_factor(r, domain) * variance_number(r)
-
-
 def covariance(r, rho, domain):
-    """Limit covariance at orders (r, rho); symmetric, diagonal delegates
-    to ``variance``."""
+    """Limit covariance at orders (r, rho) under random centering;
+    symmetric, and the variance at order r when rho = r."""
     if r < 1 or rho < 1:
         raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
-    if r == rho:
-        return variance(r, domain)
     if r > rho:
         r, rho = rho, r
     return covariance_factor(r, rho, domain) * covariance_number(r, rho)
@@ -136,28 +112,21 @@ def covariance_closed(r, rho):
     return math.comb(r + rho, r)
 
 
-def reduced_variance(r, domain):
-    """Limit variance at order r under deterministic centering."""
-    e = shift_factor(r, domain)
-    return variance(r, domain) - 2.0 * e + e * e
+def _reduce(cov, e_r, e_rho):
+    # one operation order for scalars and matrices, so the two agree bit for bit
+    return cov - (e_r + e_rho) + e_r * e_rho
 
 
 def reduced_covariance(r, rho, domain):
-    """Limit covariance at orders (r, rho) under deterministic centering."""
-    if r == rho:
-        return reduced_variance(r, domain)
-    return (
-        covariance(r, rho, domain)
-        - shift_factor(r, domain)
-        - shift_factor(rho, domain)
-        + shift_factor(r, domain) * shift_factor(rho, domain)
-    )
+    """Limit covariance at orders (r, rho) under deterministic centering;
+    the variance at order r when rho = r."""
+    return _reduce(covariance(r, rho, domain), shift_factor(r, domain), shift_factor(rho, domain))
 
 
 def lil_envelope(p, domain, k, n):
     """
     Iterated-logarithm fluctuation envelope for the relative error of the
-    order-p statistic: sqrt(reduced_variance(p)) * sqrt(2 loglog(n) / k).
+    order-p statistic: sqrt(reduced_covariance(p, p)) * sqrt(2 loglog(n) / k).
     """
     if p < 1:
         raise DomainError(f"order must be >= 1, got {p}")
@@ -166,7 +135,7 @@ def lil_envelope(p, domain, k, n):
     loglog = math.log(math.log(n))
     if loglog <= 0.0:
         raise DomainError(f"loglog(n) must be positive, got n={n}")
-    return math.sqrt(reduced_variance(p, domain)) * math.sqrt(2.0 * loglog / k)
+    return math.sqrt(reduced_covariance(p, p, domain)) * math.sqrt(2.0 * loglog / k)
 
 
 @dataclass(frozen=True)
@@ -199,19 +168,11 @@ class CovarianceModel:
     def _validate(self):
         if not np.all(np.isfinite(self.sigma)) or np.any(self.sigma <= 0):
             raise DomainError("covariance entries must be finite and positive")
-        for r in range(1, self.pmax + 1):
-            if reduced_variance(r, self.domain) < 0:
-                raise DomainError(f"reduced variance negative at order {r}")
+        negative = np.flatnonzero(np.diag(self.reduced_matrix()) < 0)
+        if negative.size:
+            raise DomainError(f"reduced variance negative at order {negative[0] + 1}")
 
     def reduced_matrix(self):
         """Covariance matrix under deterministic centering."""
         e = np.asarray(self.e)
-        return self.sigma - np.add.outer(e, e) + np.outer(e, e)
-
-    def predicted_variance(self, p, reduced):
-        return reduced_variance(p, self.domain) if reduced else float(self.sigma2[p - 1])
-
-    def predicted_covariance(self, r, rho, reduced):
-        if reduced:
-            return reduced_covariance(r, rho, self.domain)
-        return float(self.sigma[r - 1, rho - 1])
+        return _reduce(self.sigma, e[:, None], e[None, :])

@@ -211,44 +211,30 @@ def run_experiment(config, workers=1):
     m22 = sq.T @ sq / reps
     covariance_se = np.sqrt(np.maximum(m22 - cov**2, 0.0) / reps)
 
-    reduced = config.centering == "fixed"
     model = CovarianceModel.build(config.dist.domain(), config.pmax)
-    predicted = model.reduced_matrix() if reduced else model.sigma
+    predicted = model.reduced_matrix() if config.centering == "fixed" else model.sigma
 
     tol = config.tolerances
+    orders = range(1, config.pmax + 1)
+    pairs = [(p, p) for p in orders] + [(r, rho) for r in orders for rho in orders if r < rho]
     comparisons = []
-    for p in range(1, config.pmax + 1):
-        target = model.predicted_variance(p, reduced)
-        observed = float(var[p - 1])
+    for r, rho in pairs:
+        target = float(predicted[r - 1, rho - 1])
+        observed = float(cov[r - 1, rho - 1])
         rel = abs(observed - target) / abs(target)
+        tolerance = tol.var_rtol(r) if r == rho else tol.cov_rtol
         comparisons.append(
             {
-                "quantity": "variance",
-                "orders": [p, p],
+                "quantity": "variance" if r == rho else "covariance",
+                "orders": [r, rho],
                 "observed": observed,
                 "predicted": target,
                 "relative_error": rel,
-                "tolerance": tol.var_rtol(p),
-                "pass": bool(rel <= tol.var_rtol(p)),
+                "tolerance": tolerance,
+                "pass": bool(rel <= tolerance),
             }
         )
-    for r in range(1, config.pmax + 1):
-        for rho in range(r + 1, config.pmax + 1):
-            target = model.predicted_covariance(r, rho, reduced)
-            observed = float(cov[r - 1, rho - 1])
-            rel = abs(observed - target) / abs(target)
-            comparisons.append(
-                {
-                    "quantity": "covariance",
-                    "orders": [r, rho],
-                    "observed": observed,
-                    "predicted": target,
-                    "relative_error": rel,
-                    "tolerance": tol.cov_rtol,
-                    "pass": bool(rel <= tol.cov_rtol),
-                }
-            )
-    for p in range(1, config.pmax + 1):
+    for p in orders:
         observed = float(means[p - 1])
         comparisons.append(
             {

@@ -101,6 +101,15 @@ class TestEstimate:
         assert [entry["index_estimate"] for entry in results] == [None, None]
         assert results[0]["statistic"] == 5e-321
 
+    def test_order_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "many.txt"
+        path.write_text("".join(f"{2.0 + i}\n" for i in range(150)))
+        code, _, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--k", "100", "--pmax", "170"
+        )
+        assert code == EXIT_PARAMS
+        assert "pmax" in err
+
     def test_csv_format(self, capsys, datafile):
         code, out, _ = run_cli(
             capsys,
@@ -256,6 +265,33 @@ class TestMonteCarloCommand:
             args.append("--reduced")
         _, out2, _ = run_cli(capsys, *args)
         assert strip_timestamp(out2) == strip_timestamp(out)
+
+    def test_order_beyond_float_range(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "mc", "--dist", "pareto", "--n", "400", "--k", "100", "--pmax", "200",
+            "--reps", "2", "--seed", "3",
+        )
+        assert code == EXIT_PARAMS
+        assert "pmax" in err
+
+    def test_predicted_values_agree_within_report(self, capsys):
+        # weibull domain, deterministic centering: each comparison's target
+        # is the matching cell of the reported predicted matrix, bit for bit
+        code, out, _ = run_cli(
+            capsys,
+            "mc", "--dist", "power", "--gamma", "1.5", "--n", "500", "--k", "40",
+            "--pmax", "4", "--reps", "8", "--seed", "3", "--reduced",
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        checked = 0
+        for entry in report["comparisons"]:
+            if entry["quantity"] in ("variance", "covariance"):
+                r, rho = entry["orders"]
+                assert entry["predicted"] == report["predicted_covariance"][r - 1][rho - 1]
+                checked += 1
+        assert checked == 4 + 6
 
     def test_invalid_window(self, capsys):
         code, _, _ = run_cli(

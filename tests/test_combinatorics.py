@@ -67,6 +67,14 @@ class TestTypeI:
     def test_top_row_shift(self, r):
         assert type_i(0, r) == type_i(1, r - 1)
 
+    def test_lattice_path_oracle(self):
+        # paths from (0, 0) to (r-2, r+v-2) that stay on or above the line
+        # y = x: the parallelogram count of the type I numbers
+        for r in range(2, 12):
+            for v in range(12):
+                paths = lattice_path_count(r - 2, r + v - 2, lower=list(range(r - 1)))
+                assert type_i(v, r) == paths, (v, r)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             type_i(-1, 3)
@@ -256,8 +264,29 @@ class TestNumberTable:
         table = NumberTable.build("type_i", 8, 8)
         assert all(x >= 1 for x in table.entries.values())
 
+    @pytest.mark.parametrize(
+        "family,tau",
+        [("type_i", None), ("type_ii", 1), ("type_ii", 3), ("type_ii", 7),
+         ("type_iii", 1), ("type_iii", 2), ("type_iii", 5)],
+    )
+    @pytest.mark.parametrize("vmax,dmax", [(0, 1), (9, 4), (3, 11), (7, 7)])
+    def test_matches_scalar_functions(self, family, tau, vmax, dmax):
+        scalar = {
+            "type_i": lambda v, c: type_i(v, c),
+            "type_ii": lambda v, c: type_ii(tau, v, c),
+            "type_iii": lambda v, c: type_iii(tau, v, c),
+        }[family]
+        table = NumberTable.build(family, vmax, dmax, tau=tau)
+        cols = min(dmax, tau) if family == "type_ii" else dmax
+        assert table.dmax == cols
+        assert table.entries == {
+            (v, c): scalar(v, c) for v in range(vmax + 1) for c in range(1, cols + 1)
+        }
+
     def test_errors(self):
         with pytest.raises(DomainError):
             NumberTable.build("type_ii", 3, 3)
+        with pytest.raises(DomainError):
+            NumberTable.build("type_iii", 3, 3, tau=0)
         with pytest.raises(DomainError):
             NumberTable.build("unknown", 3, 3)

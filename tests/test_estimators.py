@@ -214,6 +214,16 @@ class TestLadder:
         assert ladder[0] == pytest.approx(2 * C, rel=1e-14)
         assert ladder[1] == pytest.approx(7 * C * C / 3, rel=1e-14)
 
+    def test_normalizer_beyond_float_range(self):
+        # k * pmax! is about 7.3e308 at k = 100, pmax = 170, above the
+        # largest float; at k = 20 it is still representable
+        s = SortedSample(np.arange(101.0) / 100)
+        with pytest.raises(DomainError):
+            sum_product_ladder(s, TailWindow(101, 100, 0), 170)
+        ladder = sum_product_ladder(SortedSample(s.values[:21]), TailWindow(21, 20, 0), 170)
+        assert len(ladder) == 170
+        assert all(math.isfinite(t) and t >= 0.0 for t in ladder)
+
     def test_entries_match_individual_calls(self):
         rng = np.random.default_rng(99)
         s, w = random_case(rng)

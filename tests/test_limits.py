@@ -12,10 +12,7 @@ from tailsum import (
     covariance_factor,
     lil_envelope,
     reduced_covariance,
-    reduced_variance,
     shift_factor,
-    variance,
-    variance_factor,
 )
 
 FRECHET = DomainKind.frechet()
@@ -49,14 +46,14 @@ class TestDomainKind:
 
 class TestFactors:
     def test_variance_factor_values(self):
-        assert variance_factor(1, WEIBULL1) == pytest.approx(2 / 3)
-        assert variance_factor(2, WEIBULL2) == pytest.approx(2 / 5)
-        assert variance_factor(3, FRECHET) == 1.0
-        assert variance_factor(3, GUMBEL) == 1.0
+        assert covariance_factor(1, 1, WEIBULL1) == pytest.approx(2 / 3)
+        assert covariance_factor(2, 2, WEIBULL2) == pytest.approx(2 / 5)
+        assert covariance_factor(3, 3, FRECHET) == 1.0
+        assert covariance_factor(3, 3, GUMBEL) == 1.0
 
     def test_variance_factor_domain(self):
         with pytest.raises(DomainError):
-            variance_factor(0, FRECHET)
+            covariance_factor(0, 0, FRECHET)
 
     def test_covariance_factor_values(self):
         assert covariance_factor(1, 2, WEIBULL1) == pytest.approx(0.5)
@@ -64,8 +61,6 @@ class TestFactors:
         assert covariance_factor(2, 5, GUMBEL) == 1.0
 
     def test_covariance_factor_requires_r_below_rho(self):
-        with pytest.raises(DomainError):
-            covariance_factor(3, 3, WEIBULL1)
         with pytest.raises(DomainError):
             covariance_factor(4, 2, FRECHET)
 
@@ -77,16 +72,16 @@ class TestFactors:
     def test_infinite_shape_convention(self):
         # a huge weibull shape approaches the frechet/gumbel constants
         big = DomainKind.weibull(1e6)
-        assert variance_factor(3, big) == pytest.approx(1.0, abs=1e-4)
+        assert covariance_factor(3, 3, big) == pytest.approx(1.0, abs=1e-4)
         assert shift_factor(3, big) == pytest.approx(1.0, abs=1e-4)
         assert covariance_factor(2, 4, big) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestCovarianceValues:
     def test_diagonal(self):
-        assert variance(2, FRECHET) == 6.0
-        assert variance(4, GUMBEL) == 70.0
-        assert variance(1, WEIBULL1) == pytest.approx(4 / 3)
+        assert covariance(2, 2, FRECHET) == 6.0
+        assert covariance(4, 4, GUMBEL) == 70.0
+        assert covariance(1, 1, WEIBULL1) == pytest.approx(4 / 3)
 
     def test_off_diagonal(self):
         assert covariance(1, 2, FRECHET) == 3.0
@@ -101,7 +96,7 @@ class TestCovarianceValues:
 
     def test_diagonal_is_central_binomial(self):
         for r in range(1, 11):
-            assert variance(r, FRECHET) == math.comb(2 * r, r)
+            assert covariance(r, r, FRECHET) == math.comb(2 * r, r)
 
     def test_symmetry(self):
         for dom in (FRECHET, WEIBULL1):
@@ -115,9 +110,9 @@ class TestCovarianceValues:
 
 class TestReducedModel:
     def test_reduced_variances(self):
-        assert reduced_variance(1, FRECHET) == 1.0
-        assert reduced_variance(2, FRECHET) == 5.0
-        assert reduced_variance(1, WEIBULL1) == pytest.approx(4 / 3)
+        assert reduced_covariance(1, 1, FRECHET) == 1.0
+        assert reduced_covariance(2, 2, FRECHET) == 5.0
+        assert reduced_covariance(1, 1, WEIBULL1) == pytest.approx(4 / 3)
 
     def test_reduced_covariances(self):
         assert reduced_covariance(1, 2, FRECHET) == 2.0
@@ -128,7 +123,7 @@ class TestReducedModel:
         # with unit domain factors the reduced model is the covariance of
         # the vector (E^p/p!), computable from factorials alone
         for r in range(1, 7):
-            assert reduced_variance(r, FRECHET) == pytest.approx(exp_moment_cov(r, r))
+            assert reduced_covariance(r, r, FRECHET) == pytest.approx(exp_moment_cov(r, r))
             for rho in range(r + 1, 7):
                 assert reduced_covariance(r, rho, FRECHET) == pytest.approx(
                     exp_moment_cov(r, rho)
@@ -140,10 +135,19 @@ class TestReducedModel:
         eigvals = np.linalg.eigvalsh(model.reduced_matrix())
         assert eigvals.min() >= -1e-9
 
+    @pytest.mark.parametrize("dom", [FRECHET, GUMBEL, WEIBULL1, DomainKind.weibull(1.5)])
+    def test_scalar_matches_matrix_exactly(self, dom):
+        model = CovarianceModel.build(dom, 8)
+        reduced = model.reduced_matrix()
+        for r in range(1, 9):
+            for rho in range(1, 9):
+                assert covariance(r, rho, dom) == model.sigma[r - 1, rho - 1]
+                assert reduced_covariance(r, rho, dom) == reduced[r - 1, rho - 1]
+
     def test_reduced_variance_nonnegative(self):
         for dom in (FRECHET, WEIBULL1, WEIBULL2, DomainKind.weibull(0.5)):
             for r in range(1, 9):
-                assert reduced_variance(r, dom) >= 0.0
+                assert reduced_covariance(r, r, dom) >= 0.0
 
 
 class TestModel:
@@ -156,9 +160,9 @@ class TestModel:
 
     def test_predictions(self):
         model = CovarianceModel.build(FRECHET, 3)
-        assert model.predicted_variance(2, reduced=False) == 6.0
-        assert model.predicted_variance(2, reduced=True) == 5.0
-        assert model.predicted_covariance(1, 2, reduced=True) == 2.0
+        assert model.sigma[1, 1] == 6.0
+        assert model.reduced_matrix()[1, 1] == 5.0
+        assert model.reduced_matrix()[0, 1] == 2.0
 
     def test_invalid_pmax(self):
         with pytest.raises(DomainError):
@@ -178,7 +182,7 @@ class TestLilEnvelope:
     def test_envelope_formula(self):
         dom = WEIBULL1
         k, n = 500, 10**5
-        expect = math.sqrt(reduced_variance(3, dom)) * math.sqrt(
+        expect = math.sqrt(reduced_covariance(3, 3, dom)) * math.sqrt(
             2 * math.log(math.log(n)) / k
         )
         assert lil_envelope(3, dom, k, n) == pytest.approx(expect, rel=1e-14)
