@@ -6,15 +6,22 @@ the statistics.
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
 survival function from a threshold up to the support end; the centering
-sequence is tau_p = (n/k) m_p evaluated at the window threshold.
+sequence is tau_p = (n/k) m_p evaluated at the window threshold.  Each
+family has one route to m_p: Pareto a closed form, PowerEndpoint a
+Gauss-Jacobi rule checked against the rule with half its nodes, and
+StretchedTail adaptive quadrature (``m_p_quadrature``), which is also
+PowerEndpoint's fallback when the check fails and the oracle for both other
+routes.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import roots_jacobi
 
 from .errors import DomainError
 from .estimators import SortedSample
@@ -32,13 +39,6 @@ __all__ = [
     "tau_p",
     "tau_p_at",
 ]
-
-# series/closed-form switch for the endpoint family's exponential
-# integrals: the alternating series loses roughly e^z ulp of relative
-# accuracy while the closed form loses it for z small, so the switch sits
-# where both are comfortably below 1e-9
-_SERIES_CUTOFF = 8.0
-
 
 def _check_order(p):
     if p < 1:
@@ -118,50 +118,31 @@ class PowerEndpoint:
         _check_order(p)
         if not (0.0 <= x < self.y_end):
             raise DomainError(f"threshold must lie in [0, {self.y_end}), got {x}")
-        g = self.gamma
-        if g != int(g):
-            return m_p_quadrature(self, p, x)
-        return self._m_p_integer_shape(p, x, int(g))
-
-    def _m_p_integer_shape(self, p, x, g):
-        # substituting t = y_end - w turns the tail into
-        # (x0 (1 - e^-w)/(x0-1))^g; expand binomially so each term reduces
-        # to I(p, m, W) = int_0^W (W-w)^(p-1) e^(-m w) dw / (p-1)!
-        W = self.y_end - x
-        scale = (self.x0 / (self.x0 - 1.0)) ** g
-        terms = [
-            math.comb(g, m) * (-1.0) ** m * _poly_exp_integral(p, m, W)
-            for m in range(g + 1)
-        ]
-        total = math.fsum(terms)
-        # the expansion cancels like W^-g near the endpoint; once more than
-        # ~7 digits are lost the alternating sum is no longer trustworthy
-        if total <= 0.0 or max(abs(t) for t in terms) > 1e7 * total:
-            return m_p_quadrature(self, p, x)
-        return scale * total
+        # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
+        # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
+        # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits
+        h = 0.5 * (self.y_end - x)
+        lead = h**p / math.factorial(p - 1)
+        values = []
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for nodes in (64, 128):
+                u, w = _jacobi_rule(self.gamma, nodes)
+                factor = self.x0 * -np.expm1(-h * (1.0 - u)) / ((self.x0 - 1.0) * (1.0 - u))
+                values.append(lead * float(w @ ((1.0 + u) ** (p - 1) * factor**self.gamma)))
+        coarse, fine = values
+        # the check fails where no fixed rule fits (extreme gamma * ln(x0))
+        # and where the weights overflow (gamma beyond about 1000)
+        if math.isfinite(fine) and fine > 0.0 and abs(fine - coarse) <= 1e-12 * fine:
+            return fine
+        return m_p_quadrature(self, p, x)
 
 
-def _poly_exp_integral(p, m, W):
-    """I(p, m, W) = int_0^W (W-w)^(p-1)/(p-1)! e^(-m w) dw, exactly."""
-    if m == 0:
-        return W**p / math.factorial(p)
-    z = m * W
-    if z <= _SERIES_CUTOFF:
-        # alternating series sum_q (-1)^q m^q W^(p+q)/(p+q)!; no cancellation
-        # blow-up for moderate z
-        term = W**p / math.factorial(p)
-        total = term
-        q = 0
-        while True:
-            q += 1
-            term *= -m * W / (p + q)
-            total += term
-            if abs(term) <= 1e-18 * abs(total) + 1e-300:
-                return total
-    head = (-1.0) ** p * math.exp(-z)
-    for j in range(p):
-        head += (-1.0) ** j * z ** (p - 1 - j) / math.factorial(p - 1 - j)
-    return head / m**p
+@functools.lru_cache(maxsize=32)
+def _jacobi_rule(gamma, nodes):
+    """Gauss-Jacobi nodes and weights for the weight (1-u)^gamma on [-1, 1];
+    the weights overflow (to inf) for gamma beyond about 1000."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return roots_jacobi(nodes, gamma, 0.0)
 
 
 @dataclass(frozen=True)
@@ -241,8 +222,9 @@ def sample_top(dist, seed, n, k):
 def m_p_quadrature(dist, p, x, rtol=1e-10):
     """
     Iterated tail integral via adaptive quadrature of the collapsed kernel
-    (t-x)^(p-1)/(p-1)! * tail(t) from x to the support end.  Serves as the
-    numeric fallback and as an independent cross-check of the closed forms.
+    (t-x)^(p-1)/(p-1)! * tail(t) from x to the support end, at relative
+    tolerance ``rtol`` however small the value.  StretchedTail's route,
+    PowerEndpoint's fallback, and the cross-check of both other routes.
     """
     _check_order(p)
     y0 = dist.y_end
@@ -253,13 +235,14 @@ def m_p_quadrature(dist, p, x, rtol=1e-10):
     def kernel(t):
         return (t - x) ** (p - 1) / norm * float(dist.tail(t))
 
-    value, _ = integrate.quad(kernel, x, y0, epsabs=1e-14, epsrel=rtol, limit=200)
+    value, _ = integrate.quad(kernel, x, y0, epsabs=0.0, epsrel=rtol, limit=200)
     return value
 
 
 def m_p_value(dist, p, x):
-    """Iterated tail integral m_p(x): closed form where one exists, else
-    adaptive quadrature at relative tolerance well below 1e-8."""
+    """Iterated tail integral m_p(x) by the family's route: Pareto's closed
+    form, PowerEndpoint's checked Gauss-Jacobi rule (adaptive quadrature
+    where the check fails), StretchedTail's adaptive quadrature."""
     return dist.m_p(p, x)
 
 
@@ -267,7 +250,7 @@ def tau_p(dist, p, window):
     """Centering value (n/k) m_p at the deterministic threshold
     x_n = G^(-1)(1 - k/n)."""
     x_n = float(dist._y_quantile(1.0 - window.k / window.n))
-    return (window.n / window.k) * m_p_value(dist, p, x_n)
+    return tau_p_at(dist, p, window, x_n)
 
 
 def tau_p_at(dist, p, window, threshold):

@@ -137,6 +137,13 @@ def hill(sample, window):
     return math.fsum(idx * d.values) / window.k
 
 
+def _check_ladder_range(k, pmax):
+    """The ladder divides by k p! for p up to pmax; reject a divisor beyond
+    the float range before any statistic is computed."""
+    if k * math.factorial(pmax) > sys.float_info.max:
+        raise DomainError(f"k * pmax! must be a finite float, got k={k}, pmax={pmax}")
+
+
 def _ladder_values(top, l, pmax):
     """Closed-form statistics of order 1..pmax from the top order statistics.
 
@@ -153,8 +160,7 @@ def _ladder_values(top, l, pmax):
         raise DomainError(f"order must be >= 1, got {pmax}")
     top = np.asarray(top, dtype=float)
     k = top.shape[-1] - 1
-    if k * math.factorial(pmax) > sys.float_info.max:
-        raise DomainError(f"k * pmax! must be a finite float, got k={k}, pmax={pmax}")
+    _check_ladder_range(k, pmax)
     # excess[..., i] = e_{k-1-i}; the window keeps e_l .. e_{k-1}
     excess = top[..., 1 : k - l + 1] - top[..., :1]
     power = np.ones_like(excess)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import sample_top, tau_p, tau_p_at
 from .errors import DomainError
-from .estimators import TailWindow, _ladder_values
+from .estimators import TailWindow, _check_ladder_range, _ladder_values
 from .limits import CovarianceModel, DomainKind, covariance, covariance_closed
 
 __all__ = [
@@ -72,6 +72,7 @@ class ExperimentConfig:
         TailWindow(self.n, self.k, self.l)  # validates the window
         if self.pmax < 1:
             raise DomainError(f"pmax must be >= 1, got {self.pmax}")
+        _check_ladder_range(self.k, self.pmax)
         if self.reps < 2:
             raise DomainError(f"need reps >= 2, got {self.reps}")
         if self.centering not in ("random", "fixed"):

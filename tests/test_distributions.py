@@ -29,6 +29,19 @@ def cdf(dist, x):
     return 1.0 - math.exp(-math.log(x) ** 2)
 
 
+def endpoint_m_p_reference(dist, p, x):
+    """m_p of a PowerEndpoint by adaptive quadrature of its defining
+    integral, with the tail 1 - cdf at e^t written through the distance
+    x0 - e^t to the endpoint, taken without cancellation."""
+    norm = math.factorial(p - 1)
+
+    def kernel(t):
+        distance = -dist.x0 * math.expm1(t - dist.y_end)
+        return (t - x) ** (p - 1) / norm * (distance / (dist.x0 - 1.0)) ** dist.gamma
+
+    return integrate.quad(kernel, x, dist.y_end, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
 DISTS = [Pareto(1.0), Pareto(2.0), PowerEndpoint(1.0, 2.0), PowerEndpoint(2.0, 3.0), StretchedTail()]
 
 
@@ -146,8 +159,8 @@ class TestIteratedTailIntegral:
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_large_shape_near_endpoint(self):
-        # the binomial expansion cancels like W^-gamma here; the guard must
-        # hand off to quadrature instead of returning a digit-starved sum
+        # the tail falls like W^gamma over the last stretch W before the
+        # endpoint, so the values here span many decades
         dist = PowerEndpoint(8.0, 2.0)
         for frac in (1e-3, 1e-4, 1e-6):
             x = float(dist._y_quantile(1.0 - frac))
@@ -155,6 +168,43 @@ class TestIteratedTailIntegral:
                 a = m_p_value(dist, p, x)
                 b = m_p_quadrature(dist, p, x)
                 assert a == pytest.approx(b, rel=1e-8)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 1.5, 3.0, 8.0, 20.0, 100.0])
+    def test_endpoint_matches_reference(self, gamma):
+        for x0 in (1.001, 2.0, 10.0, 1e3, 1e8):
+            dist = PowerEndpoint(gamma, x0)
+            for frac in (0.0, 0.5, 0.9, 0.99):
+                x = frac * dist.y_end
+                for p in range(1, 9):
+                    expected = endpoint_m_p_reference(dist, p, x)
+                    assert m_p_value(dist, p, x) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_endpoint_unit_shape_closed_form(self):
+        for x0 in (1.5, 2.0, 10.0):
+            dist = PowerEndpoint(1.0, x0)
+            for frac in (0.0, 0.3, 0.7):
+                x = frac * dist.y_end
+                closed = (x0 * (dist.y_end - x) - (x0 - math.exp(x))) / (x0 - 1.0)
+                assert m_p_value(dist, 1, x) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    def test_endpoint_huge_shape_near_unit_endpoint(self):
+        # x0 - e^t is nearly linear on a support this short, so
+        # m_1(0) ~ y_end / (gamma + 1)
+        dist = PowerEndpoint(1000.0, 1.0 + 1e-9)
+        value = m_p_value(dist, 1, 0.0)
+        assert math.isfinite(value) and value > 0.0
+        assert value == pytest.approx(dist.y_end / 1001.0, rel=1e-5, abs=0.0)
+
+    def test_endpoint_rule_falls_back_to_quadrature(self):
+        # the 64- and 128-node rules disagree at gamma * ln(x0) this large
+        dist = PowerEndpoint(100.0, 1e8)
+        assert dist.m_p(1, 0.0) == m_p_quadrature(dist, 1, 0.0)
+
+    def test_quadrature_relative_tolerance_at_small_values(self):
+        dist = PowerEndpoint(0.3, 2.0)
+        x = 0.9 * dist.y_end
+        expected = endpoint_m_p_reference(dist, 8, x)
+        assert m_p_quadrature(dist, 8, x) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("dist", [Pareto(1.5), PowerEndpoint(1.0, 2.0), StretchedTail()])
     def test_defining_recursion(self, dist):
