@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: estimate, tables, covariance, mc, oracle.  Every report embeds
-a run manifest (command, resolved parameters, seed, version, timestamp) so
-results can be reproduced from the output file alone.
+a run manifest (command, every parsed argument but --output and --workers,
+seed, version, timestamp) so results can be reproduced from the output file
+alone.  Reports are strict JSON: a NaN or infinity fails the command.
 
 Exit codes: 0 success, 2 I/O failure, 3 unparseable input data,
 4 invalid parameters, 5 runtime or numeric failure.
@@ -50,12 +51,23 @@ _FAMILY_ALIASES = {
 }
 
 
-def _manifest(command, parameters, seed=None):
-    """Reproducibility record embedded in every output."""
+# parsed arguments that are not report parameters: the dispatch fields, the
+# seed (a manifest field of its own), and the output path and worker count,
+# which cannot change a report's bytes; leaving them out is what keeps
+# reports byte-identical across --output and --workers
+_NOT_PARAMETERS = {"command", "func", "output", "seed", "workers"}
+
+
+def _manifest(args, **resolved):
+    """Reproducibility record embedded in every output: every parsed
+    argument in parser order, with the ``resolved`` values in place of the
+    given ones."""
+    parameters = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
+    parameters.update(resolved)
     return {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -70,10 +82,13 @@ class _Parser(argparse.ArgumentParser):
 def _write_report(path, fmt, manifest, payload=None, rows=None):
     """Write a report to ``path`` (stdout for None or "-"): as json, the
     manifest followed by ``payload``; as csv, ``rows`` followed by a
-    ``# manifest:`` trailer line."""
-    if fmt == "json":
-        text = json.dumps({"manifest": manifest, **payload}, indent=2) + "\n"
-    else:
+    ``# manifest:`` trailer line.
+
+    The manifest and payload are serialized as strict JSON in both formats,
+    so a NaN or infinity raises ``ValueError`` before anything is written.
+    """
+    text = json.dumps({"manifest": manifest, **(payload or {})}, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         buf.write(f"# manifest: {json.dumps(manifest)}\n")
@@ -88,8 +103,11 @@ def _write_report(path, fmt, manifest, payload=None, rows=None):
 def read_observations(path):
     """One observation per line; an optional non-numeric first line is
     treated as a header; commas and whitespace both separate fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     values = []
     for lineno, line in enumerate(lines, start=1):
         text = line.replace(",", " ").strip()
@@ -162,18 +180,7 @@ def cmd_estimate(args):
             "lil_envelope": lil_envelope(p, domain, args.k, sample.n) if args.k >= 3 else None,
         }
         statistics.append(entry)
-    manifest = _manifest(
-        "estimate",
-        {
-            "input": args.input,
-            "k": args.k,
-            "l": args.l,
-            "pmax": args.pmax,
-            "domain": args.domain,
-            "gamma": args.gamma,
-            "format": args.format,
-        },
-    )
+    manifest = _manifest(args)
     payload = {
         "n": sample.n,
         "below_support": sample.below_support,
@@ -199,10 +206,7 @@ def cmd_tables(args):
     if family in ("type_ii", "type_iii") and tau is None:
         raise DomainError(f"--family {args.family} requires --tau")
     table = NumberTable.build(family, args.vmax, args.dmax, tau=tau)
-    manifest = _manifest(
-        "tables",
-        {"family": family, "tau": tau, "vmax": args.vmax, "dmax": table.dmax},
-    )
+    manifest = _manifest(args, family=family, dmax=table.dmax)
     col_label = "r" if family == "type_i" else "delta"
     rows = [[f"v\\{col_label}"] + list(range(1, table.dmax + 1))]
     rows += [[v] + table.row(v) for v in range(table.vmax + 1)]
@@ -216,16 +220,7 @@ def cmd_covariance(args):
         raise DomainError(f"--pmax must lie in [1, 8], got {args.pmax}")
     model = CovarianceModel.build(domain, args.pmax)
     matrix = model.reduced_matrix() if args.reduced else model.sigma
-    manifest = _manifest(
-        "covariance",
-        {
-            "domain": args.domain,
-            "gamma": args.gamma,
-            "pmax": args.pmax,
-            "reduced": bool(args.reduced),
-            "format": args.format,
-        },
-    )
+    manifest = _manifest(args)
     payload = {"matrix": [list(row) for row in matrix], "shift_factors": list(model.e)}
     rows = [["r\\rho"] + list(range(1, args.pmax + 1))]
     rows += [[r] + [repr(float(x)) for x in matrix[r - 1]] for r in range(1, args.pmax + 1)]
@@ -246,21 +241,7 @@ def cmd_mc(args):
         centering="fixed" if args.reduced else "random",
     )
     report = run_experiment(config, workers=args.workers)
-    manifest = _manifest(
-        "mc",
-        {
-            "dist": args.dist,
-            "gamma": args.gamma,
-            "x0": args.x0,
-            "n": args.n,
-            "k": args.k,
-            "l": args.l,
-            "pmax": args.pmax,
-            "reps": args.reps,
-            "reduced": bool(args.reduced),
-        },
-        seed=args.seed,
-    )
+    manifest = _manifest(args)
     _write_report(args.output, "json", manifest, {"report": report.to_dict()})
     return EXIT_OK
 
@@ -281,10 +262,7 @@ def cmd_oracle(args):
             "half_grid_value": coarse,
             "refinement_difference": value - coarse,
         }
-    manifest = _manifest(
-        "oracle",
-        {"r": args.r, "rho": args.rho, "grid": args.grid, "truncation": args.truncation},
-    )
+    manifest = _manifest(args)
     _write_report(args.output, "json", manifest, {"value": value, "convergence": diagnostics})
     return EXIT_OK
 

@@ -78,7 +78,11 @@ class Pareto:
         _check_order(p)
         if x < 0:
             raise DomainError(f"threshold must be >= 0, got {x}")
-        return self.gamma ** (-p) * math.exp(-self.gamma * x)
+        try:
+            scale = self.gamma ** (-p)
+        except OverflowError:
+            raise DomainError(f"m_{p} exceeds the float range at gamma = {self.gamma}") from None
+        return scale * math.exp(-self.gamma * x)
 
 
 @dataclass(frozen=True)

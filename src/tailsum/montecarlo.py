@@ -4,7 +4,9 @@
 it draws the top order statistics of replicated samples, normalizes the
 statistic ladder under either the random-threshold or the
 deterministic-threshold centering, and compares empirical moments against
-the covariance model.  ``limit_covariance_quadrature`` is a deterministic
+the covariance model at fixed tolerances: 0.10 relative for the variances
+of orders 1 and 2, 0.15 for higher orders and for covariances, and 0.10
+absolute for the means.  ``limit_covariance_quadrature`` is a deterministic
 2-D Simpson oracle for the unit limit covariance, used by
 ``adjudicate_covariance`` to cross-examine the recursion, the closed form,
 and a previously tabulated matrix whose off-diagonal entries are in doubt.
@@ -13,7 +15,7 @@ and a previously tabulated matrix whose off-diagonal entries are in doubt.
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .estimators import TailWindow, _check_ladder_range, _ladder_values
 from .limits import CovarianceModel, DomainKind, covariance, covariance_closed
 
 __all__ = [
-    "Tolerances",
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
@@ -35,17 +36,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance tolerances applied to the model comparisons."""
-
-    var_rtol_low: float = 0.10   # orders 1 and 2
-    var_rtol_high: float = 0.15  # orders >= 3
-    cov_rtol: float = 0.15
-    mean_atol: float = 0.10
-
-    def var_rtol(self, p):
-        return self.var_rtol_low if p <= 2 else self.var_rtol_high
+# acceptance tolerances of the model comparisons
+_VAR_RTOL_LOW = 0.10  # orders 1 and 2
+_VAR_RTOL_HIGH = 0.15  # orders >= 3
+_COV_RTOL = 0.15
+_MEAN_ATOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class ExperimentConfig:
     reps: int
     seed: int
     centering: str = "random"
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         TailWindow(self.n, self.k, self.l)  # validates the window
@@ -215,7 +209,6 @@ def run_experiment(config, workers=1):
     model = CovarianceModel.build(config.dist.domain(), config.pmax)
     predicted = model.reduced_matrix() if config.centering == "fixed" else model.sigma
 
-    tol = config.tolerances
     orders = range(1, config.pmax + 1)
     pairs = [(p, p) for p in orders] + [(r, rho) for r in orders for rho in orders if r < rho]
     comparisons = []
@@ -223,7 +216,10 @@ def run_experiment(config, workers=1):
         target = float(predicted[r - 1, rho - 1])
         observed = float(cov[r - 1, rho - 1])
         rel = abs(observed - target) / abs(target)
-        tolerance = tol.var_rtol(r) if r == rho else tol.cov_rtol
+        if r != rho:
+            tolerance = _COV_RTOL
+        else:
+            tolerance = _VAR_RTOL_LOW if r <= 2 else _VAR_RTOL_HIGH
         comparisons.append(
             {
                 "quantity": "variance" if r == rho else "covariance",
@@ -244,8 +240,8 @@ def run_experiment(config, workers=1):
                 "observed": observed,
                 "predicted": 0.0,
                 "absolute_error": abs(observed),
-                "tolerance": tol.mean_atol,
-                "pass": bool(abs(observed) <= tol.mean_atol),
+                "tolerance": _MEAN_ATOL,
+                "pass": bool(abs(observed) <= _MEAN_ATOL),
             }
         )
 
@@ -272,8 +268,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.grid < 64 or self.grid % 2 != 0:
             raise DomainError(f"grid must be even and >= 64, got {self.grid}")
-        if self.truncation < 40.0:
-            raise DomainError(f"truncation must be >= 40, got {self.truncation}")
+        if not (math.isfinite(self.truncation) and self.truncation >= 40.0):
+            raise DomainError(f"truncation must be finite and >= 40, got {self.truncation}")
 
 
 def _simpson_weights(panels):

@@ -7,13 +7,14 @@ import re
 import numpy as np
 import pytest
 
-from tailsum import Pareto, TailWindow, log_transform, sample_iid, sum_product_ladder
+from tailsum import ParseError, Pareto, TailWindow, log_transform, sample_iid, sum_product_ladder
 from tailsum.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARAMS,
     EXIT_PARSE,
     EXIT_RUNTIME,
+    _write_report,
     main,
     read_observations,
 )
@@ -81,6 +82,16 @@ class TestEstimate:
         path = tmp_path / "hdr.csv"
         path.write_text("value\n2.0, 4.0\n8.0\n16\n32\n")
         assert read_observations(str(path)) == [2.0, 4.0, 8.0, 16.0, 32.0]
+
+    def test_undecodable_input(self, capsys, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1\x00\n\x002\x00\n\x00")
+        with pytest.raises(ParseError, match="utf16.txt"):
+            read_observations(str(path))
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--k", "1")
+        assert code == EXIT_PARSE
+        assert str(path) in err
+        assert out == ""
 
     def test_non_positive_observation(self, capsys, tmp_path):
         path = tmp_path / "neg.txt"
@@ -278,6 +289,16 @@ class TestMonteCarloCommand:
             assert code == EXIT_PARAMS, dist
             assert "pmax" in err
 
+    def test_centering_beyond_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "mc", "--dist", "pareto", "--gamma", "1e-300", "--n", "100", "--k", "10",
+            "--reps", "4", "--seed", "1", "--pmax", "2",
+        )
+        assert code == EXIT_PARAMS
+        assert "gamma" in err
+        assert out == ""
+
     def test_predicted_values_agree_within_report(self, capsys):
         # weibull domain, deterministic centering: each comparison's target
         # is the matching cell of the reported predicted matrix, bit for bit
@@ -348,3 +369,127 @@ class TestArgumentErrors:
     def test_missing_required(self, capsys):
         code, _, _ = run_cli(capsys, "estimate", "--k", "3")
         assert code == EXIT_PARAMS
+
+
+def report_manifest(text):
+    if "# manifest: " in text:
+        return json.loads(text.split("# manifest: ")[1])
+    return json.loads(text)["manifest"]
+
+
+class TestManifest:
+    """Each command's parameters, in order, as its report recorded them
+    when they were listed by hand; --output and --workers never appear."""
+
+    def manifest(self, capsys, tmp_path, *argv):
+        path = tmp_path / "report"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+        assert code == EXIT_OK
+        assert out == ""
+        manifest = report_manifest(path.read_text())
+        assert list(manifest) == ["command", "parameters", "seed", "version", "timestamp"]
+        assert manifest["command"] == argv[0]
+        return manifest
+
+    def test_estimate(self, capsys, tmp_path, datafile):
+        manifest = self.manifest(
+            capsys, tmp_path,
+            "estimate", "--input", datafile, "--k", "3", "--l", "1", "--pmax", "2",
+            "--domain", "weibull", "--gamma", "1.5", "--format", "csv",
+        )
+        assert list(manifest["parameters"].items()) == [
+            ("input", datafile), ("k", 3), ("l", 1), ("pmax", 2),
+            ("domain", "weibull"), ("gamma", 1.5), ("format", "csv"),
+        ]
+        assert manifest["seed"] is None
+
+    def test_tables_records_resolved_family(self, capsys, tmp_path):
+        manifest = self.manifest(capsys, tmp_path, "tables", "--family", "mu1", "--tau", "2")
+        assert list(manifest["parameters"].items()) == [
+            ("family", "type_iii"), ("tau", 2), ("vmax", 10), ("dmax", 10),
+        ]
+        assert manifest["seed"] is None
+
+    def test_covariance(self, capsys, tmp_path):
+        manifest = self.manifest(
+            capsys, tmp_path, "covariance", "--domain", "gumbel", "--pmax", "2", "--reduced"
+        )
+        assert list(manifest["parameters"].items()) == [
+            ("domain", "gumbel"), ("gamma", None), ("pmax", 2), ("reduced", True),
+            ("format", "json"),
+        ]
+        assert manifest["seed"] is None
+
+    def test_mc(self, capsys, tmp_path):
+        manifest = self.manifest(
+            capsys, tmp_path, *TestMonteCarloCommand.ARGS, "--workers", "2"
+        )
+        assert list(manifest["parameters"].items()) == [
+            ("dist", "pareto"), ("gamma", 1.0), ("x0", 2.0), ("n", 1500), ("k", 80),
+            ("l", 0), ("pmax", 2), ("reps", 32), ("reduced", True),
+        ]
+        assert manifest["seed"] == 7
+
+    def test_oracle(self, capsys, tmp_path):
+        manifest = self.manifest(
+            capsys, tmp_path, "oracle", "2", "3", "--grid", "64", "--truncation", "45"
+        )
+        assert list(manifest["parameters"].items()) == [
+            ("r", 2), ("rho", 3), ("grid", 64), ("truncation", 45.0),
+        ]
+        assert manifest["seed"] is None
+
+
+# numpy overflows on the way to these results; its warning is let through so
+# that the report check, not the warning filter, is what stops them
+_NUMPY_OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+class TestNonFiniteReports:
+    def test_truncation_must_be_finite(self, capsys):
+        for value in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "oracle", "1", "1", "--truncation", value)
+            assert code == EXIT_PARAMS
+            assert "truncation" in err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["oracle", "1", "1", "--truncation", "1e300"], marks=_NUMPY_OVERFLOW),
+            pytest.param(
+                ["covariance", "--domain", "weibull", "--gamma", "1e-300", "--pmax", "3",
+                 "--reduced"],
+                marks=_NUMPY_OVERFLOW,
+            ),
+            pytest.param(
+                ["covariance", "--domain", "weibull", "--gamma", "1e-300", "--pmax", "3",
+                 "--reduced", "--format", "csv"],
+                marks=_NUMPY_OVERFLOW,
+            ),
+            ["estimate", "--k", "3", "--domain", "weibull", "--gamma", "1e-300"],
+            pytest.param(
+                ["mc", "--dist", "pareto", "--gamma", "1e300", "--n", "100", "--k", "10",
+                 "--reps", "4", "--seed", "1", "--pmax", "2"],
+                marks=_NUMPY_OVERFLOW,
+            ),
+        ],
+        ids=["oracle", "covariance-json", "covariance-csv", "estimate", "mc"],
+    )
+    def test_non_finite_result_exits_five(self, capsys, tmp_path, datafile, argv):
+        if argv[0] == "estimate":
+            argv = [*argv, "--input", datafile]
+        path = tmp_path / "report"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == EXIT_RUNTIME
+        assert err.count("error:") == 1
+        assert "JSON" in err
+        assert out == ""
+        assert not path.exists()
+
+    def test_writer_rejects_nan_before_writing(self, tmp_path):
+        path = tmp_path / "report"
+        for fmt in ("json", "csv"):
+            with pytest.raises(ValueError):
+                _write_report(str(path), fmt, {"seed": None}, {"value": math.nan}, [["nan"]])
+            assert not path.exists()

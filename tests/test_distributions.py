@@ -138,6 +138,11 @@ class TestIteratedTailIntegral:
         assert m_p_value(Pareto(2.0), 3, 0.0) == pytest.approx(0.125, rel=1e-14)
         assert m_p_value(Pareto(2.0), 1, 0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
 
+    def test_pareto_beyond_float_range(self):
+        assert Pareto(1e-300).m_p(1, 0.0) == pytest.approx(1e300, rel=1e-15)
+        with pytest.raises(DomainError):
+            Pareto(1e-300).m_p(2, 0.0)
+
     def test_stretched_tail_base_integral(self):
         assert m_p_value(StretchedTail(), 1, 0.0) == pytest.approx(
             math.sqrt(math.pi) / 2, rel=1e-8

@@ -65,6 +65,9 @@ class TestQuadratureOracle:
             QuadratureConfig(grid=130, truncation=10.0)
         with pytest.raises(DomainError):
             QuadratureConfig(grid=127)
+        for truncation in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                QuadratureConfig(truncation=truncation)
 
     def test_order_bounds(self):
         with pytest.raises(DomainError):
