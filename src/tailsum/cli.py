@@ -17,7 +17,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .distributions import Pareto, PowerEndpoint, StretchedTail
+from .distributions import Pareto, PowerEndpoint, StretchedTail, _check_endpoint
 from .errors import DomainError, ParseError, UndefinedEstimateError
 from .estimators import (
     TailWindow,
@@ -142,6 +142,8 @@ def _domain_from_args(args):
 
 
 def _dist_from_args(args):
+    # only PowerEndpoint uses --x0, but it is in every manifest
+    _check_endpoint(args.x0)
     if args.dist == "pareto":
         return Pareto(args.gamma if args.gamma is not None else 1.0)
     if args.dist == "power":

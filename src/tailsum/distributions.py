@@ -6,12 +6,17 @@ the statistics.
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
 survival function from a threshold up to the support end; the centering
-sequence is tau_p = (n/k) m_p evaluated at the window threshold.  Each
-family has one route to m_p: Pareto a closed form, PowerEndpoint a
-Gauss-Jacobi rule checked against the rule with half its nodes, and
-StretchedTail adaptive quadrature (``m_p_quadrature``), which is also
-PowerEndpoint's fallback when the check fails and the oracle for both other
-routes.
+sequence is tau_p = (n/k) m_p evaluated at the window threshold.  ``m_p``
+and ``tau_p_at`` take a float or an array of thresholds (a float gives a
+float), so a Monte Carlo block is centered by one call per order.  Each
+family has one route to m_p: Pareto a closed form; PowerEndpoint a
+Gauss-Jacobi rule checked against the rule with half its nodes; and
+StretchedTail, where m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun
+7.2), Miller's backward recurrence for the scaled e^(x^2) i^n erfc(x),
+checked against the same recurrence started twice as deep (Gautschi, SIAM
+Rev. 1967).  Thresholds whose check fails, on either checked route, take
+adaptive quadrature (``m_p_quadrature``), which is also the oracle for every
+route.
 """
 
 import functools
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import roots_jacobi
+from scipy.special import erfcx, roots_jacobi
 
 from .errors import DomainError
 from .estimators import SortedSample
@@ -43,6 +48,30 @@ __all__ = [
 def _check_order(p):
     if p < 1:
         raise DomainError(f"order must be >= 1, got {p}")
+
+
+def _check_endpoint(x0):
+    if not (math.isfinite(x0) and x0 > 1):
+        raise DomainError(f"the endpoint x0 must be finite and exceed 1, got {x0}")
+
+
+def _thresholds(x, y_end):
+    """The thresholds as a float array, each checked to lie in [0, y_end)."""
+    xs = np.asarray(x, dtype=float)
+    inside = (xs >= 0.0) & (xs < y_end)
+    if not inside.all():
+        bad = xs[~inside].flat[0]
+        raise DomainError(f"threshold must lie in [0, {y_end}), got {bad}")
+    return xs
+
+
+def _checked(dist, p, xs, values, ok, x):
+    """``values`` where the route's check passed (``ok``) and
+    ``m_p_quadrature`` elsewhere, as a float when ``x`` is a scalar."""
+    values = np.array(values, dtype=float)
+    for i in np.flatnonzero(~ok):
+        values.flat[i] = m_p_quadrature(dist, p, float(xs.flat[i]))
+    return float(values) if np.ndim(x) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -76,13 +105,15 @@ class Pareto:
 
     def m_p(self, p, x):
         _check_order(p)
-        if x < 0:
-            raise DomainError(f"threshold must be >= 0, got {x}")
+        xs = _thresholds(x, self.y_end)
         try:
             scale = self.gamma ** (-p)
         except OverflowError:
             raise DomainError(f"m_{p} exceeds the float range at gamma = {self.gamma}") from None
-        return scale * math.exp(-self.gamma * x)
+        # math.exp per threshold: np.exp differs from it in the last bit on
+        # some arguments, and Pareto reports stay bit for bit what they were
+        values = scale * np.array([math.exp(-self.gamma * t) for t in xs.flat]).reshape(xs.shape)
+        return float(values) if np.ndim(x) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -98,8 +129,7 @@ class PowerEndpoint:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise DomainError("gamma must be finite and positive")
-        if not (math.isfinite(self.x0) and self.x0 > 1):
-            raise DomainError("the endpoint x0 must exceed 1")
+        _check_endpoint(self.x0)
 
     name = "power"
 
@@ -120,25 +150,27 @@ class PowerEndpoint:
 
     def m_p(self, p, x):
         _check_order(p)
-        if not (0.0 <= x < self.y_end):
-            raise DomainError(f"threshold must lie in [0, {self.y_end}), got {x}")
+        xs = _thresholds(x, self.y_end)
         # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
         # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
-        # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits
-        h = 0.5 * (self.y_end - x)
-        lead = h**p / math.factorial(p - 1)
+        # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits;
+        # one row of nodes per threshold
+        h = 0.5 * (self.y_end - xs)
         values = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            # h^p / (p-1)! in logs, so it is finite wherever m_p is
+            lead = np.exp(p * np.log(h) - math.lgamma(p))
             for nodes in (64, 128):
                 u, w = _jacobi_rule(self.gamma, nodes)
-                factor = self.x0 * -np.expm1(-h * (1.0 - u)) / ((self.x0 - 1.0) * (1.0 - u))
-                values.append(lead * float(w @ ((1.0 + u) ** (p - 1) * factor**self.gamma)))
+                s = h[..., None] * (1.0 - u)
+                factor = self.x0 * -np.expm1(-s) / ((self.x0 - 1.0) * (1.0 - u))
+                terms = w * (1.0 + u) ** (p - 1) * factor**self.gamma
+                values.append(lead * terms.sum(axis=-1))
         coarse, fine = values
         # the check fails where no fixed rule fits (extreme gamma * ln(x0))
         # and where the weights overflow (gamma beyond about 1000)
-        if math.isfinite(fine) and fine > 0.0 and abs(fine - coarse) <= 1e-12 * fine:
-            return fine
-        return m_p_quadrature(self, p, x)
+        ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
+        return _checked(self, p, xs, fine, ok, x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -172,9 +204,49 @@ class StretchedTail:
 
     def m_p(self, p, x):
         _check_order(p)
-        if x < 0:
-            raise DomainError(f"threshold must be >= 0, got {x}")
-        return m_p_quadrature(self, p, x)
+        xs = _thresholds(x, self.y_end)
+        f, ok = _scaled_iterated_erfc(p - 1, xs)
+        values = (0.5 * math.sqrt(math.pi)) * f * np.exp(-xs * xs)
+        return _checked(self, p, xs, values, ok, x)
+
+
+# start depth of the Miller recurrence beyond the order wanted; the check
+# starts a second recurrence twice as deep
+_MILLER_DEPTH = 60
+
+
+def _scaled_iterated_erfc(n, x):
+    """
+    f_n = e^(x^2) i^n erfc(x) at an array of thresholds x, by Miller's
+    backward recurrence, with a mask of the elements that passed its check.
+
+    The ratios r_m = f_m / f_(m-1) satisfy r_m = 1 / (2x + 2(m+1) r_(m+1))
+    (from 2(m+1) f_(m+1) = f_(m-1) - 2x f_m); started at depth N from the
+    asymptotic ratio 1 / (x + sqrt(x^2 + 2(N+1))) of the minimal solution,
+    they give f_n = erfcx(x) r_1 ... r_n.  The recurrence runs from
+    N = n + 60 and from 2N; an element passes when the two values are
+    finite, positive and within 1e-12 relative.  Below x of about 1.2
+    (n = 1), 1.4 (n = 7) or 1.8 (n = 29) it mostly fails: there the two
+    solutions of the recurrence barely separate, and at x = 0 the even and
+    odd orders decouple.
+    """
+    shallow = n + _MILLER_DEPTH
+    deep = 2 * shallow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        two_x = 2.0 * x
+        start = [1.0 / (x + np.sqrt(x * x + 2.0 * (depth + 1))) for depth in (shallow, deep)]
+        ratio = start[1]
+        for m in range(deep, shallow, -1):
+            ratio = 1.0 / (two_x + 2.0 * (m + 1) * ratio)
+        ratio = np.stack([start[0], ratio])
+        product = np.ones_like(ratio)
+        for m in range(shallow, 0, -1):
+            ratio = 1.0 / (two_x + 2.0 * (m + 1) * ratio)
+            if m <= n:
+                product *= ratio
+        coarse, fine = erfcx(x) * product
+        ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
+    return fine, ok
 
 
 def quantile(dist, u):
@@ -227,26 +299,33 @@ def m_p_quadrature(dist, p, x, rtol=1e-10):
     """
     Iterated tail integral via adaptive quadrature of the collapsed kernel
     (t-x)^(p-1)/(p-1)! * tail(t) from x to the support end, at relative
-    tolerance ``rtol`` however small the value.  StretchedTail's route,
-    PowerEndpoint's fallback, and the cross-check of both other routes.
+    tolerance ``rtol`` however small the value.  The kernel is taken in
+    logs, so it is finite wherever the integral is.  The fallback of the
+    PowerEndpoint and StretchedTail routes, and the oracle of all three.
     """
     _check_order(p)
     y0 = dist.y_end
     if x >= y0:
         raise DomainError(f"threshold {x} is beyond the support end {y0}")
-    norm = math.factorial(p - 1)
+    log_norm = math.lgamma(p)
 
     def kernel(t):
-        return (t - x) ** (p - 1) / norm * float(dist.tail(t))
+        tail = float(dist.tail(t))
+        if p == 1 or tail == 0.0:
+            return tail
+        if t <= x:
+            return 0.0
+        return math.exp((p - 1) * math.log(t - x) - log_norm + math.log(tail))
 
     value, _ = integrate.quad(kernel, x, y0, epsabs=0.0, epsrel=rtol, limit=200)
     return value
 
 
 def m_p_value(dist, p, x):
-    """Iterated tail integral m_p(x) by the family's route: Pareto's closed
-    form, PowerEndpoint's checked Gauss-Jacobi rule (adaptive quadrature
-    where the check fails), StretchedTail's adaptive quadrature."""
+    """Iterated tail integral m_p(x) by the family's route, at a float or
+    an array of thresholds: Pareto's closed form, PowerEndpoint's checked
+    Gauss-Jacobi rule, StretchedTail's checked recurrence (adaptive
+    quadrature where a check fails)."""
     return dist.m_p(p, x)
 
 
@@ -259,5 +338,5 @@ def tau_p(dist, p, window):
 
 def tau_p_at(dist, p, window, threshold):
     """Centering value (n/k) m_p at an arbitrary (typically random)
-    threshold."""
+    threshold, or elementwise at an array of thresholds."""
     return (window.n / window.k) * m_p_value(dist, p, threshold)

@@ -156,11 +156,9 @@ def replication_block(config, tau_fixed, lo, hi):
     if config.centering == "fixed":
         center = tau
     else:
-        center = np.array(
-            [
-                [tau_p_at(config.dist, p, window, float(threshold)) for p in range(1, pmax + 1)]
-                for threshold in top[:, 0]
-            ]
+        threshold = top[:, 0]
+        center = np.stack(
+            [tau_p_at(config.dist, p, window, threshold) for p in range(1, pmax + 1)], axis=1
         )
     return math.sqrt(k) * (ladder - center) / tau
 
@@ -268,8 +266,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.grid < 64 or self.grid % 2 != 0:
             raise DomainError(f"grid must be even and >= 64, got {self.grid}")
-        if not (math.isfinite(self.truncation) and self.truncation >= 40.0):
-            raise DomainError(f"truncation must be finite and >= 40, got {self.truncation}")
+        # beyond 700, e^-S is below about 1e-304: a longer range adds nothing
+        # but wider Simpson panels
+        if not (40.0 <= self.truncation <= 700.0):
+            raise DomainError(f"truncation must lie in [40, 700], got {self.truncation}")
 
 
 def _simpson_weights(panels):

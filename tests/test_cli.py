@@ -289,6 +289,19 @@ class TestMonteCarloCommand:
             assert code == EXIT_PARAMS, dist
             assert "pmax" in err
 
+    def test_endpoint_checked_for_every_family(self, capsys):
+        # --x0 lands in every manifest, so every family rejects a bad one
+        for dist in ("pareto", "stretched", "power"):
+            for x0 in ("nan", "-5", "1", "inf"):
+                code, out, err = run_cli(
+                    capsys,
+                    "mc", "--dist", dist, "--x0", x0, "--n", "200", "--k", "20",
+                    "--reps", "4", "--seed", "1",
+                )
+                assert code == EXIT_PARAMS, (dist, x0)
+                assert "x0" in err
+                assert out == ""
+
     def test_centering_beyond_float_range(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -453,10 +466,21 @@ class TestNonFiniteReports:
             assert "truncation" in err
             assert out == ""
 
+    def test_truncation_bounded(self, capsys):
+        # beyond 700, e^-S is below about 1e-304 and a longer range only
+        # widens the Simpson panels
+        code, out, _ = run_cli(capsys, "oracle", "1", "1", "--grid", "64", "--truncation", "700")
+        assert code == EXIT_OK
+        assert json.loads(out)["manifest"]["parameters"]["truncation"] == 700.0
+        for value in ("701", "5000", "1e300"):
+            code, out, err = run_cli(capsys, "oracle", "1", "1", "--truncation", value)
+            assert code == EXIT_PARAMS
+            assert "truncation" in err
+            assert out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["oracle", "1", "1", "--truncation", "1e300"], marks=_NUMPY_OVERFLOW),
             pytest.param(
                 ["covariance", "--domain", "weibull", "--gamma", "1e-300", "--pmax", "3",
                  "--reduced"],
@@ -474,7 +498,7 @@ class TestNonFiniteReports:
                 marks=_NUMPY_OVERFLOW,
             ),
         ],
-        ids=["oracle", "covariance-json", "covariance-csv", "estimate", "mc"],
+        ids=["covariance-json", "covariance-csv", "estimate", "mc"],
     )
     def test_non_finite_result_exits_five(self, capsys, tmp_path, datafile, argv):
         if argv[0] == "estimate":

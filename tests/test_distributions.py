@@ -1,9 +1,11 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import tailsum.distributions
 from tailsum import (
     DomainError,
     Pareto,
@@ -40,6 +42,60 @@ def endpoint_m_p_reference(dist, p, x):
         return (t - x) ** (p - 1) / norm * (distance / (dist.x0 - 1.0)) ** dist.gamma
 
     return integrate.quad(kernel, x, dist.y_end, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def unit_shape_m_p(x0, p, x):
+    """m_p of PowerEndpoint(1, x0) in closed form, in 40-digit decimals.
+
+    With L = y_end - x and u the distance to the endpoint, the tail is
+    x0 (1 - e^-u) / (x0 - 1), so m_p = x0 / (x0 - 1) (L^p/p! - J) with
+    J = int_0^L (L-u)^(p-1)/(p-1)! e^-u du
+      = e^-L sum_(m >= 0) L^(p+m) / ((p-1)! m! (p+m)),
+    a series of positive terms.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        length = Decimal(math.log(x0)) - Decimal(x)
+        term = length**p / math.factorial(p - 1)
+        total, m = Decimal(0), 0
+        while True:
+            add = term / (p + m)
+            total += add
+            if m > length and add < total * Decimal("1e-35"):
+                break
+            m += 1
+            term = term * length / m
+        tail_part = (-length).exp() * total
+        value = Decimal(x0) / (Decimal(x0) - 1) * (length**p / math.factorial(p) - tail_part)
+    return float(value)
+
+
+def stretched_m_p_reference(p, x):
+    """m_p of StretchedTail as e^(-x^2) times adaptive quadrature of
+    int_0^inf s^(p-1)/(p-1)! e^(-s(2x+s)) ds (t = x + s in the defining
+    integral), with the kernel taken in logs so it never overflows."""
+
+    def kernel(s):
+        if s <= 0.0:
+            return 1.0 if p == 1 else 0.0
+        return math.exp((p - 1) * math.log(s) - math.lgamma(p) - s * (2.0 * x + s))
+
+    value = integrate.quad(kernel, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return value * math.exp(-x * x)
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """The (dist, p, x) of every m_p_quadrature call the routes make."""
+    calls = []
+    original = tailsum.distributions.m_p_quadrature
+
+    def counting(dist, p, x, rtol=1e-10):
+        calls.append((dist, p, x))
+        return original(dist, p, x, rtol)
+
+    monkeypatch.setattr(tailsum.distributions, "m_p_quadrature", counting)
+    return calls
 
 
 DISTS = [Pareto(1.0), Pareto(2.0), PowerEndpoint(1.0, 2.0), PowerEndpoint(2.0, 3.0), StretchedTail()]
@@ -200,6 +256,30 @@ class TestIteratedTailIntegral:
         assert math.isfinite(value) and value > 0.0
         assert value == pytest.approx(dist.y_end / 1001.0, rel=1e-5, abs=0.0)
 
+    def test_endpoint_unit_shape_higher_orders(self):
+        for x0 in (1.5, 2.0, 10.0):
+            dist = PowerEndpoint(1.0, x0)
+            for p in (1, 2, 5, 30):
+                for frac in (0.0, 0.5):
+                    x = frac * dist.y_end
+                    expected = unit_shape_m_p(x0, p, x)
+                    assert dist.m_p(p, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_high_order_on_long_support(self):
+        # h^p and (t - x)^(p-1) exceed the float range here, m_120 does not
+        dist = PowerEndpoint(1.0, 1e300)
+        expected = unit_shape_m_p(1e300, 120, 0.0)
+        assert 1e141 < expected < 1e142
+        assert dist.m_p(120, 0.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert m_p_quadrature(dist, 120, 0.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_stretched_quadrature_at_high_order(self):
+        # the kernel's (t - x)^119 overflowed on quad's unbounded range
+        expected = stretched_m_p_reference(120, 1.73)
+        assert m_p_quadrature(StretchedTail(), 120, 1.73) == pytest.approx(
+            expected, rel=1e-9, abs=0.0
+        )
+
     def test_endpoint_rule_falls_back_to_quadrature(self):
         # the 64- and 128-node rules disagree at gamma * ln(x0) this large
         dist = PowerEndpoint(100.0, 1e8)
@@ -260,3 +340,74 @@ class TestCentering:
         closed = tau_p(dist, 1, w)
         quad = (w.n / w.k) * m_p_quadrature(dist, 1, x_n)
         assert closed == pytest.approx(quad, rel=1e-8)
+
+
+class TestThresholdArrays:
+    XS = [0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.15, 3.0, 4.0, 6.0, 10.0, 20.0, 26.0]
+
+    def test_scalar_in_float_out(self):
+        for dist in (Pareto(1.0), PowerEndpoint(1.5), StretchedTail()):
+            assert type(dist.m_p(2, 0.3)) is float
+            assert type(dist.m_p(2, np.float64(0.3))) is float
+            assert dist.m_p(2, np.array([0.3, 0.4])).shape == (2,)
+
+    def test_pareto_array_is_scalar_bit_for_bit(self):
+        # the scalar closed form as Pareto reports have always computed it
+        xs = np.random.default_rng(5).uniform(0.0, 9.0, 500)
+        for dist in (Pareto(1.0), Pareto(2.5), Pareto(0.3)):
+            for p in (1, 2, 3, 8):
+                scalar = [dist.gamma ** (-p) * math.exp(-dist.gamma * float(x)) for x in xs]
+                assert np.array_equal(dist.m_p(p, xs), scalar)
+                assert [dist.m_p(p, float(x)) for x in xs] == scalar
+
+    def test_power_array_matches_scalar(self):
+        for dist in (PowerEndpoint(1.5), PowerEndpoint(0.3, 10.0), PowerEndpoint(100.0, 1e8)):
+            xs = np.linspace(0.0, 0.99, 34) * dist.y_end
+            for p in (1, 2, 3, 8):
+                values = dist.m_p(p, xs)
+                for x, value in zip(xs, values):
+                    assert value == pytest.approx(dist.m_p(p, float(x)), rel=1e-15, abs=0.0)
+
+    def test_centering_array_matches_scalar(self):
+        w = TailWindow(2000, 100, 0)
+        xs = np.linspace(1.6, 1.9, 32)
+        for dist in (Pareto(1.0), StretchedTail()):
+            for p in (1, 2, 3):
+                values = tau_p_at(dist, p, w, xs)
+                for x, value in zip(xs, values):
+                    assert value == pytest.approx(tau_p_at(dist, p, w, float(x)), rel=1e-15, abs=0.0)
+
+    def test_stretched_matches_reference(self):
+        for p in range(1, 31):
+            values = StretchedTail().m_p(p, np.array(self.XS))
+            for x, value in zip(self.XS, values):
+                expected = stretched_m_p_reference(p, x)
+                assert value == pytest.approx(expected, rel=1e-10, abs=0.0), (p, x)
+
+    def test_stretched_recurrence_needs_no_quadrature(self, quadrature_calls):
+        xs = np.linspace(1.5, 6.0, 91)
+        for p in range(1, 9):
+            StretchedTail().m_p(p, xs)
+            StretchedTail().m_p(p, float(xs[0]))
+        assert quadrature_calls == []
+
+    def test_fallback_elements_equal_quadrature(self, quadrature_calls):
+        power = PowerEndpoint(100.0, 1e8)
+        cases = [
+            # the 64- and 128-node rules disagree at the first two
+            (power, 1, np.array([0.0, 0.5, 0.9, 0.99]) * power.y_end, 2),
+            # the recurrence's check fails at small thresholds
+            (StretchedTail(), 2, np.array([0.0, 0.5, 2.15, 3.0]), 2),
+        ]
+        for dist, p, xs, fallbacks in cases:
+            quadrature_calls.clear()
+            values = dist.m_p(p, xs)
+            assert [x for _, _, x in quadrature_calls] == list(xs[:fallbacks])
+            for x, value in zip(xs[:fallbacks], values):
+                assert value == m_p_quadrature(dist, p, float(x))
+
+    def test_out_of_range_element_raises(self):
+        for dist in (Pareto(1.0), PowerEndpoint(1.5), StretchedTail()):
+            for bad in (-0.1, math.nan, dist.y_end, math.inf):
+                with pytest.raises(DomainError):
+                    dist.m_p(1, np.array([0.2, bad, 0.3]))

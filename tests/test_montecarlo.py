@@ -69,6 +69,12 @@ class TestQuadratureOracle:
             with pytest.raises(DomainError):
                 QuadratureConfig(truncation=truncation)
 
+    def test_truncation_upper_bound(self):
+        assert QuadratureConfig(truncation=700.0).truncation == 700.0
+        for truncation in (701.0, 5000.0, 1e300):
+            with pytest.raises(DomainError):
+                QuadratureConfig(truncation=truncation)
+
     def test_order_bounds(self):
         with pytest.raises(DomainError):
             limit_covariance_quadrature(0, 3)
