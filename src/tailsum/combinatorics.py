@@ -6,8 +6,8 @@ All values are Python integers, so results are exact at any size.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, combinations, repeat
+from operator import mul
 
 from .errors import DomainError
 
@@ -62,28 +62,12 @@ def compositions(p, h):
     return out
 
 
-def _check_vr(v, r, rname="r"):
-    if v < 0:
-        raise DomainError(f"v must be >= 0, got {v}")
-    if r < 1:
-        raise DomainError(f"{rname} must be >= 1, got {r}")
-
-
-def _step(col, shift):
-    """Next column of a family: running sums of ``col`` from row ``shift``
-    on.  Shift 0 is the type II step; shift 1, which drops the top row, is
-    the two-cell rule shared by type I and type III."""
-    return list(accumulate(col[shift:]))
-
-
 def _walk(col, shift, steps):
-    """``col`` followed by the ``steps`` columns that ``_step`` makes from it."""
-    return accumulate(repeat(shift, steps), _step, initial=col)
-
-
-def _type_ii_base(tau, rows):
-    """Type II delta = 1 column, rows 0..rows-1: ones summed tau - 1 times."""
-    return reduce(_step, repeat(0, tau - 1), [1] * rows)
+    """``col`` followed by the ``steps`` next columns of a family, each the
+    running sums of the one before from row ``shift`` on.  Shift 0 is the
+    type II step; shift 1, which drops the top row, is the two-cell rule
+    shared by type I and type III."""
+    return accumulate(repeat(shift, steps), lambda c, s: list(accumulate(c[s:])), initial=col)
 
 
 def type_i(v, r):
@@ -96,11 +80,11 @@ def type_i(v, r):
         value(v, r) = value(v+1, r-1) + value(v-1, r),  v >= 1,
     that is, by the running sums of the previous column without its top row.
     """
-    _check_vr(v, r)
-    if r <= 2:
-        return 1
-    # column c must extend to row v + (r - c) to feed the next column
-    return reduce(_step, repeat(1, r - 2), [1] * (v + r - 1))[v]
+    if v < 0:
+        raise DomainError(f"v must be >= 0, got {v}")
+    if r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+    return NumberTable.build("type_i", v, r).value(v, r)
 
 
 def type_ii(tau, v, delta):
@@ -117,7 +101,7 @@ def type_ii(tau, v, delta):
         raise DomainError(f"v must be >= 0, got {v}")
     if delta < 1 or delta > tau:
         raise DomainError(f"delta must lie in [1, {tau}], got {delta}")
-    return reduce(_step, repeat(0, tau - delta), [1] * (v + 1))[v]
+    return NumberTable.build("type_ii", v, delta, tau).value(v, delta)
 
 
 def type_iii(tau, v, delta):
@@ -137,7 +121,25 @@ def type_iii(tau, v, delta):
         raise DomainError(f"delta must be >= 0, got {delta}")
     if delta == 0:
         return 1
-    return reduce(_step, repeat(1, delta - 1), _type_ii_base(tau, v + delta))[v]
+    return NumberTable.build("type_iii", v, delta, tau).value(v, delta)
+
+
+def _unit_covariances(pmax):
+    """
+    Every unit covariance integer up to order pmax, from one type I row
+    and one type III row per tau: the returned dict holds
+    ``covariance_number(r, rho)`` at key (r, rho), and a(0) = 1 at (0, 0).
+    """
+    t1 = NumberTable.build("type_i", 1, pmax).row(1)
+    a = [1]
+    for _ in range(pmax):
+        a.append(2 * sum(map(mul, t1, reversed(a))))
+    cells = {(r, r): a[r] for r in range(pmax + 1)}
+    for tau in range(1, pmax):
+        t3 = [1, *NumberTable.build("type_iii", 1, pmax - tau, tau).row(1)]
+        for r in range(1, pmax - tau + 1):
+            cells[r, r + tau] = cells[r + tau, r] = sum(map(mul, t3, a[r::-1]))
+    return cells
 
 
 def variance_number(r):
@@ -147,11 +149,7 @@ def variance_number(r):
     """
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    a = [1]
-    t1 = [None] + [type_i(1, j) for j in range(1, r + 1)]
-    for m in range(1, r + 1):
-        a.append(2 * sum(t1[j] * a[m - j] for j in range(1, m + 1)))
-    return a[r]
+    return _unit_covariances(max(r, 1))[r, r]
 
 
 def covariance_number(r, rho):
@@ -165,12 +163,7 @@ def covariance_number(r, rho):
     """
     if r < 1 or rho < 1:
         raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
-    if r == rho:
-        return variance_number(r)
-    if r > rho:
-        r, rho = rho, r
-    tau = rho - r
-    return sum(type_iii(tau, 1, j) * variance_number(r - j) for j in range(r + 1))
+    return _unit_covariances(max(r, rho))[r, rho]
 
 
 def lattice_path_count(width, height, lower=None, upper=None):
@@ -241,7 +234,8 @@ class NumberTable:
             dmax = min(dmax, tau)
             columns = list(_walk([1] * (vmax + 1), 0, tau - 1))[::-1]
         else:
-            columns = list(_walk(_type_ii_base(tau, vmax + dmax), 1, dmax - 1))
+            *_, delta_1 = _walk([1] * (vmax + dmax), 0, tau - 1)  # the type II delta = 1 column
+            columns = list(_walk(delta_1, 1, dmax - 1))
         entries = {(v, c): columns[c - 1][v] for v in range(vmax + 1) for c in range(1, dmax + 1)}
         return cls(family, tau, vmax, dmax, entries)
 

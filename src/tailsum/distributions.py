@@ -55,13 +55,14 @@ def _check_endpoint(x0):
         raise DomainError(f"the endpoint x0 must be finite and exceed 1, got {x0}")
 
 
-def _thresholds(x, y_end):
-    """The thresholds as a float array, each checked to lie in [0, y_end)."""
+def _thresholds(dist, x):
+    """The thresholds as a float array, each checked to lie in [0, y_end)
+    of ``dist``."""
     xs = np.asarray(x, dtype=float)
-    inside = (xs >= 0.0) & (xs < y_end)
+    inside = (xs >= 0.0) & (xs < dist.y_end)
     if not inside.all():
         bad = xs[~inside].flat[0]
-        raise DomainError(f"threshold must lie in [0, {y_end}), got {bad}")
+        raise DomainError(f"threshold of {dist} must lie in [0, {dist.y_end}), got {bad}")
     return xs
 
 
@@ -105,7 +106,7 @@ class Pareto:
 
     def m_p(self, p, x):
         _check_order(p)
-        xs = _thresholds(x, self.y_end)
+        xs = _thresholds(self, x)
         try:
             scale = self.gamma ** (-p)
         except OverflowError:
@@ -150,7 +151,7 @@ class PowerEndpoint:
 
     def m_p(self, p, x):
         _check_order(p)
-        xs = _thresholds(x, self.y_end)
+        xs = _thresholds(self, x)
         # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
         # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
         # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits;
@@ -176,9 +177,13 @@ class PowerEndpoint:
 @functools.lru_cache(maxsize=32)
 def _jacobi_rule(gamma, nodes):
     """Gauss-Jacobi nodes and weights for the weight (1-u)^gamma on [-1, 1];
-    the weights overflow (to inf) for gamma beyond about 1000."""
+    the weights overflow (to inf) for gamma beyond about 1000, and beyond
+    about 1e200, where scipy cannot form the rule, both are NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return roots_jacobi(nodes, gamma, 0.0)
+        try:
+            return roots_jacobi(nodes, gamma, 0.0)
+        except ValueError:  # scipy's eigensolver meets infs or NaNs
+            return np.full(nodes, np.nan), np.full(nodes, np.nan)
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ class StretchedTail:
 
     def m_p(self, p, x):
         _check_order(p)
-        xs = _thresholds(x, self.y_end)
+        xs = _thresholds(self, x)
         f, ok = _scaled_iterated_erfc(p - 1, xs)
         values = (0.5 * math.sqrt(math.pi)) * f * np.exp(-xs * xs)
         return _checked(self, p, xs, values, ok, x)

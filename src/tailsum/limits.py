@@ -3,7 +3,9 @@
 The normalized sum-product statistics converge to a centered Gaussian
 ladder whose covariance at orders (r, rho) is a domain factor times the
 exact integer ``covariance_number(r, rho)``; on the diagonal that integer is
-``variance_number(r)``.  Replacing the random centering by a
+``variance_number(r)``.  ``CovarianceModel.build`` takes every such integer
+up to its order from one pass over the number tables, the pass the scalar
+functions read a cell of.  Replacing the random centering by a
 deterministic one shifts the process by an index-dependent multiple of a
 common standard Gaussian, which the reduced formulas absorb.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import covariance_number, variance_number
+from .combinatorics import _unit_covariances, covariance_number
 from .errors import DomainError
 
 __all__ = [
@@ -156,11 +158,14 @@ class CovarianceModel:
     def build(cls, domain, pmax):
         if pmax < 1:
             raise DomainError(f"pmax must be >= 1, got {pmax}")
-        sig = np.empty((pmax, pmax))
-        for r in range(1, pmax + 1):
-            for rho in range(r, pmax + 1):
-                sig[r - 1, rho - 1] = sig[rho - 1, r - 1] = covariance(r, rho, domain)
-        e = tuple(shift_factor(p, domain) for p in range(1, pmax + 1))
+        cells = _unit_covariances(pmax)
+        orders = range(1, pmax + 1)
+        # the float-times-int of ``covariance``, so the two agree bit for bit
+        sig = np.array([
+            [covariance_factor(min(r, rho), max(r, rho), domain) * cells[r, rho] for rho in orders]
+            for r in orders
+        ])
+        e = tuple(shift_factor(p, domain) for p in orders)
         model = cls(domain, pmax, tuple(np.diag(sig)), sig, e)
         model._validate()
         return model

@@ -289,6 +289,15 @@ class TestMonteCarloCommand:
             assert code == EXIT_PARAMS, dist
             assert "pmax" in err
 
+    def test_largest_order_finishes(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "mc", "--dist", "pareto", "--n", "100", "--k", "10", "--l", "9", "--pmax", "170",
+            "--reps", "2", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        assert len(json.loads(out)["report"]["predicted_covariance"]) == 170
+
     def test_endpoint_checked_for_every_family(self, capsys):
         # --x0 lands in every manifest, so every family rejects a bad one
         for dist in ("pareto", "stretched", "power"):
@@ -310,6 +319,31 @@ class TestMonteCarloCommand:
         )
         assert code == EXIT_PARAMS
         assert "gamma" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("gamma", ["1e10", "1e300"])
+    def test_centering_below_float_range(self, capsys, gamma):
+        # the tail is too thin for any m_p to resolve; at 1e300 scipy cannot
+        # even form the Jacobi rule
+        code, out, err = run_cli(
+            capsys,
+            "mc", "--dist", "power", "--gamma", gamma, "--n", "100", "--k", "10",
+            "--reps", "2", "--seed", "1",
+        )
+        assert code == EXIT_PARAMS
+        assert err.count("error:") == 1
+        assert err.count("\n") == 1  # and nothing else, no warning
+        assert "PowerEndpoint" in err
+        assert out == ""
+
+    def test_threshold_error_names_distribution(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "mc", "--dist", "power", "--gamma", "1e-300", "--n", "100", "--k", "10",
+            "--reps", "2", "--seed", "1",
+        )
+        assert code == EXIT_PARAMS
+        assert "gamma=1e-300" in err
         assert out == ""
 
     def test_predicted_values_agree_within_report(self, capsys):
@@ -361,6 +395,12 @@ class TestOracleCommand:
     def test_bad_grid(self, capsys):
         code, _, _ = run_cli(capsys, "oracle", "2", "3", "--grid", "10")
         assert code == EXIT_PARAMS
+
+    def test_grid_bounded(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "8", "8", "--grid", "100000000")
+        assert code == EXIT_PARAMS
+        assert "grid" in err
+        assert out == ""
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "oracle.json"

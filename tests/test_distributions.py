@@ -406,6 +406,15 @@ class TestThresholdArrays:
             for x, value in zip(xs[:fallbacks], values):
                 assert value == m_p_quadrature(dist, p, float(x))
 
+    def test_unformable_rule_falls_back(self, quadrature_calls):
+        # scipy cannot form the Jacobi rule at gamma = 1e300, so every
+        # element takes the quadrature
+        power = PowerEndpoint(1e300)
+        xs = np.array([0.0, 0.5]) * power.y_end
+        values = power.m_p(1, xs)
+        assert [x for _, _, x in quadrature_calls] == list(xs)
+        assert list(values) == [m_p_quadrature(power, 1, float(x)) for x in xs]
+
     def test_out_of_range_element_raises(self):
         for dist in (Pareto(1.0), PowerEndpoint(1.5), StretchedTail()):
             for bad in (-0.1, math.nan, dist.y_end, math.inf):

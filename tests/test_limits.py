@@ -135,12 +135,16 @@ class TestReducedModel:
         eigvals = np.linalg.eigvalsh(model.reduced_matrix())
         assert eigvals.min() >= -1e-9
 
-    @pytest.mark.parametrize("dom", [FRECHET, GUMBEL, WEIBULL1, DomainKind.weibull(1.5)])
-    def test_scalar_matches_matrix_exactly(self, dom):
-        model = CovarianceModel.build(dom, 8)
+    @pytest.mark.parametrize(
+        "dom,pmax",
+        [(FRECHET, 8), (GUMBEL, 8), (WEIBULL1, 8), (DomainKind.weibull(1.5), 8), (WEIBULL2, 30)],
+        ids=["dom0", "dom1", "dom2", "dom3", "weibull2-pmax30"],
+    )
+    def test_scalar_matches_matrix_exactly(self, dom, pmax):
+        model = CovarianceModel.build(dom, pmax)
         reduced = model.reduced_matrix()
-        for r in range(1, 9):
-            for rho in range(1, 9):
+        for r in range(1, pmax + 1):
+            for rho in range(1, pmax + 1):
                 assert covariance(r, rho, dom) == model.sigma[r - 1, rho - 1]
                 assert reduced_covariance(r, rho, dom) == reduced[r - 1, rho - 1]
 
@@ -163,6 +167,14 @@ class TestModel:
         assert model.sigma[1, 1] == 6.0
         assert model.reduced_matrix()[1, 1] == 5.0
         assert model.reduced_matrix()[0, 1] == 2.0
+
+    def test_largest_order_is_binomial(self):
+        # 170 is the largest order with k * pmax! finite, so the largest an
+        # experiment can ask for
+        sigma = CovarianceModel.build(GUMBEL, 170).sigma
+        for r in range(1, 171):
+            for rho in range(1, 171):
+                assert sigma[r - 1, rho - 1] == float(math.comb(r + rho, r))
 
     def test_invalid_pmax(self):
         with pytest.raises(DomainError):

@@ -65,6 +65,8 @@ class TestQuadratureOracle:
             QuadratureConfig(grid=130, truncation=10.0)
         with pytest.raises(DomainError):
             QuadratureConfig(grid=127)
+        with pytest.raises(DomainError):
+            QuadratureConfig(grid=100_000_000)
         for truncation in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 QuadratureConfig(truncation=truncation)
