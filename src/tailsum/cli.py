@@ -5,6 +5,11 @@ a run manifest (command, every parsed argument but --output and --workers,
 seed, version, timestamp) so results can be reproduced from the output file
 alone.  Reports are strict JSON: a NaN or infinity fails the command.
 
+``estimate`` reads its input in blocks of whole lines, each converted by
+one ``float()`` pass over its fields; a bad field is reported at its own
+line.  Since the file is decoded block by block, a bad field may be
+reported before invalid UTF-8 bytes further on; both exit 3.
+
 Exit codes: 0 success, 2 I/O failure, 3 unparseable input data,
 4 invalid parameters, 5 runtime or numeric failure.
 """
@@ -26,7 +31,7 @@ from .estimators import (
     spacings,
     sum_product_ladder,
 )
-from .limits import CovarianceModel, DomainKind, lil_envelope
+from .limits import CovarianceModel, DomainKind, _lil_envelopes
 from .montecarlo import (
     ExperimentConfig,
     QuadratureConfig,
@@ -100,31 +105,49 @@ def _write_report(path, fmt, manifest, payload=None, rows=None):
             fh.write(text)
 
 
+# characters converted per block; each block is extended to the end of its
+# last line, so a block always holds whole lines
+_READ_BLOCK = 1 << 16
+
+
+def _parse_line(path, lineno, line):
+    """The numbers on line ``lineno`` of ``path``; commas and whitespace
+    both separate fields."""
+    row = []
+    for tok in line.replace(",", " ").split():
+        try:
+            row.append(float(tok))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: cannot parse {tok!r} as a number") from None
+    return row
+
+
 def read_observations(path):
     """One observation per line; an optional non-numeric first line is
-    treated as a header; commas and whitespace both separate fields."""
+    treated as a header; commas and whitespace both separate fields.
+
+    After the first line the text is converted in blocks of whole lines; a
+    block that fails to convert is parsed again line by line only to name
+    the line of its first bad token."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            try:
+                values = _parse_line(path, 1, fh.readline())
+            except ParseError:
+                values = []  # header line
+            lineno = 1
+            while block := fh.read(_READ_BLOCK):
+                if not block.endswith("\n"):
+                    block += fh.readline()
+                try:
+                    values.extend(map(float, block.replace(",", " ").split()))
+                except ValueError:
+                    for offset, line in enumerate(block.split("\n"), start=lineno + 1):
+                        _parse_line(path, offset, line)
+                    raise
+                lineno += block.count("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.replace(",", " ").strip()
-        if not text:
-            continue
-        fields = text.split()
-        row = []
-        for tok in fields:
-            try:
-                row.append(float(tok))
-            except ValueError:
-                if lineno == 1 and not values:
-                    row = None  # header line
-                    break
-                raise ParseError(f"{path}:{lineno}: cannot parse {tok!r} as a number")
-        if row:
-            values.extend(row)
     if len(values) < 2:
         raise ParseError(f"{path}: need at least two observations")
     return values
@@ -168,9 +191,12 @@ def cmd_estimate(args):
     domain = _domain_from_args(args)
     ladder = sum_product_ladder(sample, window, args.pmax)
     gaps = spacings(sample, window)
+    if args.k >= 3:
+        envelopes = _lil_envelopes(args.pmax, domain, args.k, sample.n)
+    else:
+        envelopes = [None] * args.pmax
     statistics = []
-    for p in range(1, args.pmax + 1):
-        t = ladder[p - 1]
+    for p, (t, envelope) in enumerate(zip(ladder, envelopes), start=1):
         try:
             estimate = index_estimate(t, p)
         except UndefinedEstimateError:
@@ -179,7 +205,7 @@ def cmd_estimate(args):
             "p": p,
             "statistic": t,
             "index_estimate": estimate,
-            "lil_envelope": lil_envelope(p, domain, args.k, sample.n) if args.k >= 3 else None,
+            "lil_envelope": envelope,
         }
         statistics.append(entry)
     manifest = _manifest(args)

@@ -125,19 +125,33 @@ def reduced_covariance(r, rho, domain):
     return _reduce(covariance(r, rho, domain), shift_factor(r, domain), shift_factor(rho, domain))
 
 
-def lil_envelope(p, domain, k, n):
-    """
-    Iterated-logarithm fluctuation envelope for the relative error of the
-    order-p statistic: sqrt(reduced_covariance(p, p)) * sqrt(2 loglog(n) / k).
-    """
-    if p < 1:
-        raise DomainError(f"order must be >= 1, got {p}")
+def _lil_envelopes(pmax, domain, k, n):
+    """The ``lil_envelope`` of every order 1..pmax, from one pass over the
+    covariance integers."""
+    if pmax < 1:
+        raise DomainError(f"order must be >= 1, got {pmax}")
     if not (3 <= k < n):
         raise DomainError(f"need 3 <= k < n, got k={k}, n={n}")
     loglog = math.log(math.log(n))
     if loglog <= 0.0:
         raise DomainError(f"loglog(n) must be positive, got n={n}")
-    return math.sqrt(reduced_covariance(p, p, domain)) * math.sqrt(2.0 * loglog / k)
+    cells = _unit_covariances(pmax)
+    scale = math.sqrt(2.0 * loglog / k)
+    envelopes = []
+    for p in range(1, pmax + 1):
+        # the float operations of ``reduced_covariance``, so the two agree bit for bit
+        e = shift_factor(p, domain)
+        variance = _reduce(covariance_factor(p, p, domain) * cells[p, p], e, e)
+        envelopes.append(math.sqrt(variance) * scale)
+    return envelopes
+
+
+def lil_envelope(p, domain, k, n):
+    """
+    Iterated-logarithm fluctuation envelope for the relative error of the
+    order-p statistic: sqrt(reduced_covariance(p, p)) * sqrt(2 loglog(n) / k).
+    """
+    return _lil_envelopes(p, domain, k, n)[-1]
 
 
 @dataclass(frozen=True)

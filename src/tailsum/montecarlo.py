@@ -160,7 +160,10 @@ def replication_block(config, tau_fixed, lo, hi):
         center = np.stack(
             [tau_p_at(config.dist, p, window, threshold) for p in range(1, pmax + 1)], axis=1
         )
-    return math.sqrt(k) * (ladder - center) / tau
+    # a centering value of 0 at an order >= 2 (below the float range) gives
+    # non-finite rows, which the report check stops; numpy need not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.sqrt(k) * (ladder - center) / tau
 
 
 def run_experiment(config, workers=1):

@@ -3,11 +3,26 @@ import io
 import json
 import math
 import re
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailsum import ParseError, Pareto, TailWindow, log_transform, sample_iid, sum_product_ladder
+import tailsum.cli as cli_mod
+import tailsum.limits as limits_mod
+from tailsum import (
+    DomainKind,
+    ParseError,
+    Pareto,
+    TailWindow,
+    lil_envelope,
+    log_transform,
+    sample_iid,
+    sum_product_ladder,
+)
 from tailsum.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -101,8 +116,6 @@ class TestEstimate:
 
     def test_unrepresentable_index_is_null(self, capsys, datafile, monkeypatch):
         # parsed log spacings are never this small, so the ladder is stubbed
-        import tailsum.cli as cli_mod
-
         monkeypatch.setattr(cli_mod, "sum_product_ladder", lambda *args: [5e-321, 0.0])
         code, out, _ = run_cli(
             capsys, "estimate", "--input", datafile, "--k", "3", "--pmax", "2"
@@ -120,6 +133,29 @@ class TestEstimate:
         )
         assert code == EXIT_PARAMS
         assert "pmax" in err
+
+    def test_envelopes_from_one_pass(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "sampled.txt"
+        raw = np.exp(sample_iid(Pareto(1.0), 7, 200).values)
+        path.write_text("".join(f"{x!r}\n" for x in raw.tolist()))
+        passes = []
+
+        def counted(pmax, _pass=limits_mod._unit_covariances):
+            passes.append(pmax)
+            return _pass(pmax)
+
+        monkeypatch.setattr(limits_mod, "_unit_covariances", counted)
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "estimate", "--input", str(path), "--k", "20", "--pmax", "170"
+        )
+        # about 13 s when each order made its own pass
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_OK
+        assert passes == [170]
+        envelopes = [entry["lil_envelope"] for entry in json.loads(out)["results"]]
+        for p in (1, 2, 3, 85, 170):
+            assert envelopes[p - 1] == lil_envelope(p, DomainKind.frechet(), 20, 200)
 
     def test_csv_format(self, capsys, datafile):
         code, out, _ = run_cli(
@@ -149,6 +185,124 @@ class TestEstimate:
 
 def table_rows(out):
     return list(csv.reader(io.StringIO(out.split("# manifest:")[0])))
+
+
+def _read_observations_per_line(path):
+    """The per-line parser that block conversion replaced, kept verbatim as
+    the oracle for ``read_observations``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.replace(",", " ").strip()
+        if not text:
+            continue
+        fields = text.split()
+        row = []
+        for tok in fields:
+            try:
+                row.append(float(tok))
+            except ValueError:
+                if lineno == 1 and not values:
+                    row = None  # header line
+                    break
+                raise ParseError(f"{path}:{lineno}: cannot parse {tok!r} as a number")
+        if row:
+            values.extend(row)
+    if len(values) < 2:
+        raise ParseError(f"{path}: need at least two observations")
+    return values
+
+
+def _outcome(parse, path):
+    """The parsed values as reprs (so NaNs compare equal), or the error text."""
+    try:
+        return [repr(x) for x in parse(path)]
+    except ParseError as exc:
+        return str(exc)
+
+
+_NUMBERS = ["1", "-2.5", "3e-7", "+0", "-0.0", "nan", "-inf", "Infinity", "1_000", "١٢",
+            "1e400", "4e-330", ".5"]
+_NOT_NUMBERS = ["value", "abc", "1..2", "0x10", "1e", "_1", "1,5e"]
+_SEPARATORS = [" ", ",", ", ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0"]
+_NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _data_texts(draw):
+    """Lines of numbers and separators with up to two bad tokens, an optional
+    header and an optional final newline."""
+    lines = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(_NUMBERS), st.sampled_from(_SEPARATORS)), max_size=4),
+        max_size=8,
+    ))
+    tokens = [[tok + sep for tok, sep in line] for line in lines]
+    for _ in range(draw(st.integers(0, 2))):
+        if tokens:
+            line = draw(st.sampled_from(tokens))
+            line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(_NOT_NUMBERS)) + " ")
+    if draw(st.booleans()):
+        tokens.insert(0, [draw(st.sampled_from(["value", "x, y", "1, value", "2"]))])
+    ends = [draw(st.sampled_from(_NEWLINES)) for _ in tokens]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join("".join(line) + end for line, end in zip(tokens, ends))
+
+
+class TestReadObservations:
+    @given(text=_data_texts(), block=st.sampled_from([1, 3, 7, 1 << 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_line_parser(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.getbasetemp() / "property-obs.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "_READ_BLOCK", block)
+            got = _outcome(read_observations, str(path))
+        assert got == _outcome(_read_observations_per_line, str(path))
+
+    def test_bad_token_reports_its_line(self, tmp_path):
+        path = tmp_path / "long.txt"
+        lines = [f"{1.0 + i}\n" for i in range(100_000)]
+        lines[70_000] = "bad\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=r"long\.txt:70001: cannot parse 'bad'"):
+            read_observations(str(path))
+
+    def test_line_longer_than_a_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_READ_BLOCK", 1000)
+        path = tmp_path / "wide.txt"
+        path.write_text("value\n" + "1.5, " * 5000 + "\n2.5\nbad\n")
+        with pytest.raises(ParseError, match=r"wide\.txt:4: cannot parse 'bad'"):
+            read_observations(str(path))
+        path.write_text("value\n" + "1.5, " * 5000 + "\n2.5\n")
+        assert read_observations(str(path)) == [1.5] * 5000 + [2.5]
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "open.txt"
+        path.write_text("1\n2\n3")
+        assert read_observations(str(path)) == [1.0, 2.0, 3.0]
+        path.write_text("1\n2\nx")
+        with pytest.raises(ParseError, match=r"open\.txt:3: cannot parse 'x'"):
+            read_observations(str(path))
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header.txt"
+        path.write_text("value\n")
+        with pytest.raises(ParseError, match="need at least two observations"):
+            read_observations(str(path))
+
+    def test_bad_token_before_undecodable_bytes(self, capsys, tmp_path):
+        # blocks are converted as they are read, so the bad token is met first
+        path = tmp_path / "mixed.txt"
+        path.write_bytes(b"1\nbad\n" + b"2\n" * 100_000 + b"\xff\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--k", "3")
+        assert code == EXIT_PARSE
+        assert f"{path}:2: cannot parse 'bad'" in err
+        assert out == ""
 
 
 class TestTables:
@@ -373,8 +527,6 @@ class TestMonteCarloCommand:
         assert code == EXIT_PARAMS
 
     def test_runtime_failures_exit_five(self, capsys, monkeypatch):
-        import tailsum.cli as cli_mod
-
         def boom(*args, **kwargs):
             raise FloatingPointError("synthetic numeric failure")
 
@@ -497,6 +649,13 @@ class TestManifest:
 # that the report check, not the warning filter, is what stops them
 _NUMPY_OVERFLOW = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+# non-finite results reached without a numpy warning
+_SILENT_NON_FINITE = {
+    "estimate": ["estimate", "--k", "3", "--domain", "weibull", "--gamma", "1e-300"],
+    "mc": ["mc", "--dist", "pareto", "--gamma", "1e300", "--n", "100", "--k", "10",
+           "--reps", "4", "--seed", "1", "--pmax", "2"],
+}
+
 
 class TestNonFiniteReports:
     def test_truncation_must_be_finite(self, capsys):
@@ -531,12 +690,8 @@ class TestNonFiniteReports:
                  "--reduced", "--format", "csv"],
                 marks=_NUMPY_OVERFLOW,
             ),
-            ["estimate", "--k", "3", "--domain", "weibull", "--gamma", "1e-300"],
-            pytest.param(
-                ["mc", "--dist", "pareto", "--gamma", "1e300", "--n", "100", "--k", "10",
-                 "--reps", "4", "--seed", "1", "--pmax", "2"],
-                marks=_NUMPY_OVERFLOW,
-            ),
+            _SILENT_NON_FINITE["estimate"],
+            _SILENT_NON_FINITE["mc"],
         ],
         ids=["covariance-json", "covariance-csv", "estimate", "mc"],
     )
@@ -550,6 +705,20 @@ class TestNonFiniteReports:
         assert "JSON" in err
         assert out == ""
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", sorted(_SILENT_NON_FINITE))
+    def test_non_finite_result_prints_only_its_error(self, capsys, datafile, command):
+        argv = _SILENT_NON_FINITE[command]
+        if command == "estimate":
+            argv = [*argv, "--input", datafile]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_RUNTIME
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert out == ""
 
     def test_writer_rejects_nan_before_writing(self, tmp_path):
         path = tmp_path / "report"

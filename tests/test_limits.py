@@ -14,6 +14,7 @@ from tailsum import (
     reduced_covariance,
     shift_factor,
 )
+from tailsum.limits import _lil_envelopes
 
 FRECHET = DomainKind.frechet()
 GUMBEL = DomainKind.gumbel()
@@ -192,17 +193,21 @@ class TestLilEnvelope:
         assert a / b == pytest.approx(2.0, rel=1e-12)
 
     def test_envelope_formula(self):
-        dom = WEIBULL1
         k, n = 500, 10**5
-        expect = math.sqrt(reduced_covariance(3, 3, dom)) * math.sqrt(
-            2 * math.log(math.log(n)) / k
-        )
-        assert lil_envelope(3, dom, k, n) == pytest.approx(expect, rel=1e-14)
+        for dom in (FRECHET, GUMBEL, WEIBULL1, DomainKind.weibull(1.5), DomainKind.weibull(1e-3)):
+            expect = [
+                math.sqrt(reduced_covariance(p, p, dom)) * math.sqrt(2 * math.log(math.log(n)) / k)
+                for p in range(1, 13)
+            ]
+            # every order from one pass, bit for bit
+            assert _lil_envelopes(12, dom, k, n) == expect
+            assert [lil_envelope(p, dom, k, n) for p in range(1, 13)] == expect
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            lil_envelope(0, FRECHET, 100, 1000)
-        with pytest.raises(DomainError):
-            lil_envelope(1, FRECHET, 2, 1000)
-        with pytest.raises(DomainError):
-            lil_envelope(1, FRECHET, 100, 100)
+        for envelope in (lil_envelope, _lil_envelopes):
+            with pytest.raises(DomainError):
+                envelope(0, FRECHET, 100, 1000)
+            with pytest.raises(DomainError):
+                envelope(1, FRECHET, 2, 1000)
+            with pytest.raises(DomainError):
+                envelope(1, FRECHET, 100, 100)
