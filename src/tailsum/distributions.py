@@ -3,6 +3,11 @@ a deterministic counter-based sampler (of the full sample, or of only its
 top order statistics), and the iterated tail integrals needed to center
 the statistics.
 
+``sample_iid`` draws its n uniforms with ``Generator.random`` and is the
+reference.  ``sample_top`` reads the same n raw Philox words, selects the
+k+1 largest and converts only those with numpy's own (w >> 11) * 2^-53, so
+its result is the top of ``sample_iid``'s bit for bit.
+
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
 survival function from a threshold up to the support end; the centering
@@ -289,15 +294,18 @@ def sample_top(dist, seed, n, k):
     The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
     the sample ``sample_iid(dist, seed, n)``, ascending.
 
-    The same n uniforms are drawn, but only the k+1 largest are selected
-    and transformed; the quantile is non-decreasing, so the result equals
+    The same n raw 64-bit Philox words that ``Generator.random(n)`` reads
+    are drawn, but only the k+1 largest are selected and converted, by
+    numpy's own double map (w >> 11) * 2^-53.  That map and the quantile
+    are non-decreasing, so the result equals
     ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.
     """
     if not (0 < k < n):
         raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
-    u = _philox("sample", seed).random(n)
-    u.partition(n - k - 1)
-    return np.sort(dist._y_quantile(u[n - k - 1 :]))
+    words = _philox("sample", seed).bit_generator.random_raw(n)
+    words.partition(n - k - 1)
+    u = (words[n - k - 1 :] >> 11) * 2.0**-53
+    return np.sort(dist._y_quantile(u))
 
 
 def m_p_quadrature(dist, p, x, rtol=1e-10):

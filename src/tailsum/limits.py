@@ -194,4 +194,7 @@ class CovarianceModel:
     def reduced_matrix(self):
         """Covariance matrix under deterministic centering."""
         e = np.asarray(self.e)
-        return _reduce(self.sigma, e[:, None], e[None, :])
+        # an overflow gives inf or nan entries, as the scalar form does
+        # silently; the caller's finiteness check, not numpy, reports them
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _reduce(self.sigma, e[:, None], e[None, :])
