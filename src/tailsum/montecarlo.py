@@ -276,14 +276,21 @@ class QuadratureConfig:
     truncation: float = 60.0
 
     def __post_init__(self):
-        # time and memory grow as grid^2: `oracle --grid 8192` takes about 2 s
-        # and 130 MB, while a grid of 1e8 would ask for about 95 GiB
+        # time grows as grid^2 and memory as grid: `oracle --grid 8192` takes
+        # about 0.6 s and 95 MB peak (80 MB of it the imports), while a grid
+        # of 1e8 would ask for about 48 GiB per block of rows
         if not (64 <= self.grid <= 8192) or self.grid % 2 != 0:
             raise DomainError(f"grid must be even and lie in [64, 8192], got {self.grid}")
         # beyond 700, e^-S is below about 1e-304: a longer range adds nothing
         # but wider Simpson panels
         if not (40.0 <= self.truncation <= 700.0):
             raise DomainError(f"truncation must lie in [40, 700], got {self.truncation}")
+
+
+# rows of the upper piece per block, so a block stays in cache: at grid 1024
+# the oracle took 0.006 s with 32 or 64 rows, 0.011 s with 256 and 0.03 s
+# with the whole (grid+1)^2 matrix
+_ORACLE_CHUNK = 64
 
 
 def _simpson_weights(panels):
@@ -301,8 +308,16 @@ def limit_covariance_quadrature(r, rho, config=None):
 
     The integrand's derivative jumps across the diagonal, so the inner
     integral is split there and each smooth piece gets its own composite
-    rule; the result is then accurate to far better than 1e-4 at the
-    default grid.
+    rule on [0, 1]; the result is then accurate to far better than 1e-4 at
+    the default grid.
+
+    Below the diagonal, t = s*u and the integrand e^-s s^(rho-1) u^(rho-1)
+    factors, so the rule over u is one dot product shared by every row s
+    and the piece costs O(grid).  Above it, t = s + (S-s)*u, and the
+    grid^2 integrand is built in row chunks with t^(rho-1) taken by repeated
+    multiplication.  Both factorials and the (S-s) length of the upper
+    piece come out of the sums, so every node and weight is the plain
+    composite Simpson one.
     """
     if not (1 <= r <= 8 and 1 <= rho <= 8):
         raise DomainError(f"orders must lie in [1, 8], got ({r}, {rho})")
@@ -313,20 +328,23 @@ def limit_covariance_quadrature(r, rho, config=None):
     frac = np.linspace(0.0, 1.0, g + 1)
     w_unit = _simpson_weights(g) / g  # weights on [0, 1]
     outer_w = _simpson_weights(g) * (S / g)
-    outer_f = outer_w * s ** (r - 1) / math.factorial(r - 1)
-    norm_rho = math.factorial(rho - 1)
 
-    inner = np.empty(g + 1)
-    chunk = 128
-    for lo in range(0, g + 1, chunk):
-        hi = min(lo + chunk, g + 1)
-        sc = s[lo:hi, None]
-        t_lo = sc * frac[None, :]
-        t_hi = sc + (S - sc) * frac[None, :]
-        f_lo = np.exp(-sc) * t_lo ** (rho - 1) / norm_rho
-        f_hi = np.exp(-t_hi) * t_hi ** (rho - 1) / norm_rho
-        inner[lo:hi] = (sc[:, 0]) * (f_lo @ w_unit) + (S - sc[:, 0]) * (f_hi @ w_unit)
-    return float(outer_f @ inner)
+    # lower piece: s * e^-s s^(rho-1) * sum_j w_j u_j^(rho-1)
+    inner = s * np.exp(-s) * s ** (rho - 1) * (frac ** (rho - 1) @ w_unit)
+
+    upper = np.empty(g + 1)
+    for lo in range(0, g + 1, _ORACLE_CHUNK):
+        hi = min(lo + _ORACLE_CHUNK, g + 1)
+        t = np.multiply.outer(S - s[lo:hi], frac)
+        t += s[lo:hi, None]
+        f = np.negative(t)
+        np.exp(f, out=f)
+        for _ in range(rho - 1):
+            f *= t
+        upper[lo:hi] = f @ w_unit
+    inner += (S - s) * upper
+    outer = outer_w @ (s ** (r - 1) * inner)
+    return float(outer) / (math.factorial(r - 1) * math.factorial(rho - 1))
 
 
 # previously tabulated limit covariance values under audit; the printed

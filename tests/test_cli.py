@@ -342,6 +342,37 @@ class TestTables:
         code, _, err = run_cli(capsys, "tables", "--family", "mu0", "--vmax", "3")
         assert code == EXIT_PARAMS
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "type1", "--vmax", "301"),
+            ("--family", "type1", "--dmax", "301"),
+            ("--family", "type1", "--vmax", "100000000", "--dmax", "100000000"),
+            ("--family", "type3", "--tau", "100000000", "--vmax", "3", "--dmax", "3"),
+            ("--family", "type2", "--tau", "301"),
+        ],
+    )
+    def test_size_caps(self, capsys, flags):
+        code, out, err = run_cli(capsys, "tables", *flags)
+        assert code == EXIT_PARAMS
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: --")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--family", "type1", "--vmax", "300", "--dmax", "2"),
+            ("--family", "type1", "--vmax", "0", "--dmax", "300"),
+            ("--family", "type2", "--tau", "300", "--vmax", "2", "--dmax", "2"),
+            ("--family", "type3", "--tau", "30", "--vmax", "30", "--dmax", "30"),
+        ],
+    )
+    def test_caps_admit_tables_up_to_them(self, capsys, flags):
+        code, out, err = run_cli(capsys, "tables", *flags)
+        assert code == EXIT_OK
+        assert err == ""
+        assert "# manifest:" in out
+
 
 class TestCovariance:
     def test_frechet_diagonal(self, capsys):

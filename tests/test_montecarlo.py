@@ -58,6 +58,33 @@ class TestQuadratureOracle:
         b = limit_covariance_quadrature(2, 2, QuadratureConfig(grid=1024, truncation=80.0))
         assert a == pytest.approx(b, abs=5e-8)
 
+    @staticmethod
+    def plain_simpson(r, rho, config):
+        """The oracle's Simpson sum with the integrand of both inner pieces
+        built as a whole (g+1) x (g+1) matrix."""
+        g, S = config.grid, config.truncation
+        w = np.ones(g + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        w /= 3.0
+        s = np.linspace(0.0, S, g + 1)[:, None]
+        u = np.linspace(0.0, 1.0, g + 1)[None, :]
+        t_lo = s * u  # below the diagonal, over t in [0, s]
+        t_hi = s + (S - s) * u  # above it, over t in [s, S]
+        f_lo = np.exp(-s) * t_lo ** (rho - 1) / math.factorial(rho - 1)
+        f_hi = np.exp(-t_hi) * t_hi ** (rho - 1) / math.factorial(rho - 1)
+        inner = s[:, 0] * (f_lo @ (w / g)) + (S - s[:, 0]) * (f_hi @ (w / g))
+        outer = w * (S / g) * s[:, 0] ** (r - 1) / math.factorial(r - 1)
+        return float(outer @ inner)
+
+    @pytest.mark.parametrize("grid", [64, 128, 256])
+    @pytest.mark.parametrize("truncation", [40.0, 60.0, 700.0])
+    def test_matches_plain_simpson_sum(self, grid, truncation):
+        config = QuadratureConfig(grid=grid, truncation=truncation)
+        for r in range(1, 9):
+            for rho in range(r, 9):
+                want = self.plain_simpson(r, rho, config)
+                assert limit_covariance_quadrature(r, rho, config) == pytest.approx(want, rel=1e-13)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(grid=63)
