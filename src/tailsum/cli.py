@@ -32,7 +32,7 @@ from .estimators import (
     spacings,
     sum_product_ladder,
 )
-from .limits import CovarianceModel, DomainKind, _lil_envelopes
+from .limits import CovarianceModel, DomainKind
 from .montecarlo import (
     ExperimentConfig,
     QuadratureConfig,
@@ -192,10 +192,9 @@ def cmd_estimate(args):
     domain = _domain_from_args(args)
     ladder = sum_product_ladder(sample, window, args.pmax)
     gaps = spacings(sample, window)
+    envelopes = [None] * args.pmax
     if args.k >= 3:
-        envelopes = _lil_envelopes(args.pmax, domain, args.k, sample.n)
-    else:
-        envelopes = [None] * args.pmax
+        envelopes = CovarianceModel.build(domain, args.pmax).lil_envelopes(args.k, sample.n)
     statistics = []
     for p, (t, envelope) in enumerate(zip(ladder, envelopes), start=1):
         try:

@@ -308,11 +308,14 @@ def sample_top(dist, seed, n, k):
     return np.sort(dist._y_quantile(u))
 
 
-def m_p_quadrature(dist, p, x, rtol=1e-10):
+_QUAD_RTOL = 1e-10
+
+
+def m_p_quadrature(dist, p, x):
     """
     Iterated tail integral via adaptive quadrature of the collapsed kernel
     (t-x)^(p-1)/(p-1)! * tail(t) from x to the support end, at relative
-    tolerance ``rtol`` however small the value.  The kernel is taken in
+    tolerance ``_QUAD_RTOL`` however small the value.  The kernel is taken in
     logs, so it is finite wherever the integral is.  The fallback of the
     PowerEndpoint and StretchedTail routes, and the oracle of all three.
     """
@@ -330,7 +333,7 @@ def m_p_quadrature(dist, p, x, rtol=1e-10):
             return 0.0
         return math.exp((p - 1) * math.log(t - x) - log_norm + math.log(tail))
 
-    value, _ = integrate.quad(kernel, x, y0, epsabs=0.0, epsrel=rtol, limit=200)
+    value, _ = integrate.quad(kernel, x, y0, epsabs=0.0, epsrel=_QUAD_RTOL, limit=200)
     return value
 
 

@@ -2,20 +2,23 @@
 
 The normalized sum-product statistics converge to a centered Gaussian
 ladder whose covariance at orders (r, rho) is a domain factor times the
-exact integer ``covariance_number(r, rho)``; on the diagonal that integer is
-``variance_number(r)``.  ``CovarianceModel.build`` takes every such integer
-up to its order from one pass over the number tables, the pass the scalar
-functions read a cell of.  Replacing the random centering by a
-deterministic one shifts the process by an index-dependent multiple of a
-common standard Gaussian, which the reduced formulas absorb.
+exact integer ``covariance_number(r, rho)``.  Replacing the random
+centering by a deterministic one shifts the process by an index-dependent
+multiple of a common standard Gaussian, which the reduced matrix absorbs.
+``CovarianceModel`` is the only code that turns the integers into floats:
+``build`` takes them from one pass over the number tables and each order's
+weibull factors from one running product.  The scalar covariances and
+``lil_envelope`` read a cell or an envelope of a model.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from .combinatorics import _unit_covariances, covariance_number
+from .combinatorics import _unit_covariances
 from .errors import DomainError
 
 __all__ = [
@@ -68,18 +71,21 @@ class DomainKind:
         return self.kind == "weibull"
 
 
+def _factor_column(rho, domain):
+    """``covariance_factor(r, rho, domain)`` for r = 1..rho: the weibull
+    factors are the running products of (g+j)/(g+rho+j)."""
+    if not domain.uses_shape:
+        return [1.0] * rho
+    g = domain.gamma
+    return list(accumulate(((g + j) / (g + rho + j) for j in range(1, rho + 1)), mul))
+
+
 def covariance_factor(r, rho, domain):
     """Covariance correction: prod_{j=1..r} (g+j)/(g+rho+j) for r <= rho in
     the weibull domain, 1 elsewhere; rho = r gives the variance correction."""
     if not (1 <= r <= rho):
         raise DomainError(f"orders must satisfy 1 <= r <= rho, got ({r}, {rho})")
-    if not domain.uses_shape:
-        return 1.0
-    g = domain.gamma
-    out = 1.0
-    for j in range(1, r + 1):
-        out *= (g + j) / (g + rho + j)
-    return out
+    return _factor_column(rho, domain)[r - 1]
 
 
 def shift_factor(p, domain):
@@ -97,9 +103,7 @@ def covariance(r, rho, domain):
     symmetric, and the variance at order r when rho = r."""
     if r < 1 or rho < 1:
         raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
-    if r > rho:
-        r, rho = rho, r
-    return covariance_factor(r, rho, domain) * covariance_number(r, rho)
+    return float(CovarianceModel.build(domain, max(r, rho)).sigma[r - 1, rho - 1])
 
 
 def covariance_closed(r, rho):
@@ -114,36 +118,12 @@ def covariance_closed(r, rho):
     return math.comb(r + rho, r)
 
 
-def _reduce(cov, e_r, e_rho):
-    # one operation order for scalars and matrices, so the two agree bit for bit
-    return cov - (e_r + e_rho) + e_r * e_rho
-
-
 def reduced_covariance(r, rho, domain):
     """Limit covariance at orders (r, rho) under deterministic centering;
     the variance at order r when rho = r."""
-    return _reduce(covariance(r, rho, domain), shift_factor(r, domain), shift_factor(rho, domain))
-
-
-def _lil_envelopes(pmax, domain, k, n):
-    """The ``lil_envelope`` of every order 1..pmax, from one pass over the
-    covariance integers."""
-    if pmax < 1:
-        raise DomainError(f"order must be >= 1, got {pmax}")
-    if not (3 <= k < n):
-        raise DomainError(f"need 3 <= k < n, got k={k}, n={n}")
-    loglog = math.log(math.log(n))
-    if loglog <= 0.0:
-        raise DomainError(f"loglog(n) must be positive, got n={n}")
-    cells = _unit_covariances(pmax)
-    scale = math.sqrt(2.0 * loglog / k)
-    envelopes = []
-    for p in range(1, pmax + 1):
-        # the float operations of ``reduced_covariance``, so the two agree bit for bit
-        e = shift_factor(p, domain)
-        variance = _reduce(covariance_factor(p, p, domain) * cells[p, p], e, e)
-        envelopes.append(math.sqrt(variance) * scale)
-    return envelopes
+    if r < 1 or rho < 1:
+        raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
+    return float(CovarianceModel.build(domain, max(r, rho)).reduced_matrix()[r - 1, rho - 1])
 
 
 def lil_envelope(p, domain, k, n):
@@ -151,7 +131,7 @@ def lil_envelope(p, domain, k, n):
     Iterated-logarithm fluctuation envelope for the relative error of the
     order-p statistic: sqrt(reduced_covariance(p, p)) * sqrt(2 loglog(n) / k).
     """
-    return _lil_envelopes(p, domain, k, n)[-1]
+    return CovarianceModel.build(domain, p).lil_envelopes(k, n)[-1]
 
 
 @dataclass(frozen=True)
@@ -173,13 +153,11 @@ class CovarianceModel:
         if pmax < 1:
             raise DomainError(f"pmax must be >= 1, got {pmax}")
         cells = _unit_covariances(pmax)
-        orders = range(1, pmax + 1)
-        # the float-times-int of ``covariance``, so the two agree bit for bit
-        sig = np.array([
-            [covariance_factor(min(r, rho), max(r, rho), domain) * cells[r, rho] for rho in orders]
-            for r in orders
-        ])
-        e = tuple(shift_factor(p, domain) for p in orders)
+        sig = np.empty((pmax, pmax))
+        for rho in range(1, pmax + 1):
+            column = [f * cells[r, rho] for r, f in enumerate(_factor_column(rho, domain), start=1)]
+            sig[rho - 1, :rho] = sig[:rho, rho - 1] = column
+        e = tuple(shift_factor(p, domain) for p in range(1, pmax + 1))
         model = cls(domain, pmax, tuple(np.diag(sig)), sig, e)
         model._validate()
         return model
@@ -194,7 +172,17 @@ class CovarianceModel:
     def reduced_matrix(self):
         """Covariance matrix under deterministic centering."""
         e = np.asarray(self.e)
-        # an overflow gives inf or nan entries, as the scalar form does
-        # silently; the caller's finiteness check, not numpy, reports them
+        # an overflow gives inf or nan entries; the caller's finiteness
+        # check, not numpy, reports them
         with np.errstate(over="ignore", invalid="ignore"):
-            return _reduce(self.sigma, e[:, None], e[None, :])
+            return self.sigma - (e[:, None] + e) + e[:, None] * e
+
+    def lil_envelopes(self, k, n):
+        """The ``lil_envelope`` of every order 1..pmax."""
+        if not (3 <= k < n):
+            raise DomainError(f"need 3 <= k < n, got k={k}, n={n}")
+        loglog = math.log(math.log(n))
+        if loglog <= 0.0:
+            raise DomainError(f"loglog(n) must be positive, got n={n}")
+        scale = math.sqrt(2.0 * loglog / k)
+        return [math.sqrt(v) * scale for v in np.diag(self.reduced_matrix()).tolist()]

@@ -22,7 +22,7 @@ import numpy as np
 from .distributions import sample_top, tau_p, tau_p_at
 from .errors import DomainError
 from .estimators import TailWindow, _check_ladder_range, _ladder_values
-from .limits import CovarianceModel, DomainKind, covariance, covariance_closed
+from .limits import CovarianceModel, DomainKind, covariance_closed
 
 __all__ = [
     "ExperimentConfig",
@@ -205,16 +205,19 @@ def run_experiment(config, workers=1):
             list(pool.map(fill, blocks))
 
     reps = config.reps
-    means = stats.mean(axis=0)
-    centered = stats - means
-    cov = centered.T @ centered / (reps - 1)
-    var = np.diag(cov)
-    mean_se = np.sqrt(var / reps)
-    m4 = (centered**4).mean(axis=0)
-    variance_se = np.sqrt(np.maximum(m4 - var**2, 0.0) / reps)
-    sq = centered**2
-    m22 = sq.T @ sq / reps
-    covariance_se = np.sqrt(np.maximum(m22 - cov**2, 0.0) / reps)
+    # rows made non-finite by a centering below the float range give
+    # non-finite moments, which the report check stops; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = stats.mean(axis=0)
+        centered = stats - means
+        cov = centered.T @ centered / (reps - 1)
+        var = np.diag(cov)
+        mean_se = np.sqrt(var / reps)
+        m4 = (centered**4).mean(axis=0)
+        variance_se = np.sqrt(np.maximum(m4 - var**2, 0.0) / reps)
+        sq = centered**2
+        m22 = sq.T @ sq / reps
+        covariance_se = np.sqrt(np.maximum(m22 - cov**2, 0.0) / reps)
 
     model = CovarianceModel.build(config.dist.domain(), config.pmax)
     predicted = model.reduced_matrix() if config.centering == "fixed" else model.sigma
@@ -377,11 +380,11 @@ def adjudicate_covariance(pmax, config=None):
     """
     if not (1 <= pmax <= 8):
         raise DomainError(f"pmax must lie in [1, 8], got {pmax}")
-    frechet = DomainKind.frechet()
+    sigma = CovarianceModel.build(DomainKind.frechet(), pmax).sigma
     rows = []
     for r in range(1, pmax + 1):
         for rho in range(r, pmax + 1):
-            recursion = covariance(r, rho, frechet)
+            recursion = float(sigma[r - 1, rho - 1])
             closed = covariance_closed(r, rho)
             quad = limit_covariance_quadrature(r, rho, config)
             routes_agree = (

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import tailsum.cli as cli_mod
 import tailsum.limits as limits_mod
+import tailsum.montecarlo as montecarlo_mod
 from tailsum import (
     DomainKind,
     ParseError,
@@ -134,7 +135,15 @@ class TestEstimate:
         assert code == EXIT_PARAMS
         assert "pmax" in err
 
-    def test_envelopes_from_one_pass(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "domain_args,domain",
+        [
+            ([], DomainKind.frechet()),
+            (["--domain", "weibull", "--gamma", "1.5"], DomainKind.weibull(1.5)),
+        ],
+        ids=["frechet", "weibull"],
+    )
+    def test_envelopes_from_one_pass(self, capsys, tmp_path, monkeypatch, domain_args, domain):
         path = tmp_path / "sampled.txt"
         raw = np.exp(sample_iid(Pareto(1.0), 7, 200).values)
         path.write_text("".join(f"{x!r}\n" for x in raw.tolist()))
@@ -147,7 +156,7 @@ class TestEstimate:
         monkeypatch.setattr(limits_mod, "_unit_covariances", counted)
         start = time.perf_counter()
         code, out, _ = run_cli(
-            capsys, "estimate", "--input", str(path), "--k", "20", "--pmax", "170"
+            capsys, "estimate", "--input", str(path), "--k", "20", "--pmax", "170", *domain_args
         )
         # about 13 s when each order made its own pass
         assert time.perf_counter() - start < 10.0
@@ -155,7 +164,7 @@ class TestEstimate:
         assert passes == [170]
         envelopes = [entry["lil_envelope"] for entry in json.loads(out)["results"]]
         for p in (1, 2, 3, 85, 170):
-            assert envelopes[p - 1] == lil_envelope(p, DomainKind.frechet(), 20, 200)
+            assert envelopes[p - 1] == lil_envelope(p, domain, 20, 200)
 
     def test_csv_format(self, capsys, datafile):
         code, out, _ = run_cli(
@@ -729,6 +738,27 @@ class TestNonFiniteReports:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_RUNTIME
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_non_finite_rows_aggregate_silently(self, capsys, monkeypatch):
+        # a centering below the float range gives -inf rows
+        def infinite_row(config, tau_fixed, lo, hi):
+            rows = np.ones((hi - lo, config.pmax))
+            rows[0] = -np.inf
+            return rows
+
+        monkeypatch.setattr(montecarlo_mod, "replication_block", infinite_row)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys,
+                "mc", "--dist", "pareto", "--n", "100", "--k", "10",
+                "--reps", "4", "--seed", "1", "--pmax", "2",
+            )
         assert code == EXIT_RUNTIME
         assert [str(w.message) for w in caught] == []
         assert len(err.splitlines()) == 1

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import tailsum.limits as limits_mod
 from tailsum import (
     CovarianceModel,
     DomainError,
@@ -14,12 +16,17 @@ from tailsum import (
     reduced_covariance,
     shift_factor,
 )
-from tailsum.limits import _lil_envelopes
 
 FRECHET = DomainKind.frechet()
 GUMBEL = DomainKind.gumbel()
 WEIBULL1 = DomainKind.weibull(1.0)
 WEIBULL2 = DomainKind.weibull(2.0)
+
+_CACHED_CELLS = functools.cache(limits_mod._unit_covariances)
+
+
+def model_envelopes(pmax, dom, k, n):
+    return CovarianceModel.build(dom, pmax).lil_envelopes(k, n)
 
 
 def exp_moment_cov(r, rho):
@@ -177,6 +184,27 @@ class TestModel:
             for rho in range(1, 171):
                 assert sigma[r - 1, rho - 1] == float(math.comb(r + rho, r))
 
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.5, 3000.0, 1e300])
+    def test_weibull_cells_match_per_cell_products(self, gamma, monkeypatch):
+        # the build takes each column's factors from one running product;
+        # every cell of sigma and of the reduced matrix must equal its own
+        # per-cell formula, bit for bit.  The integers do not depend on
+        # gamma, so one pass serves every case.
+        monkeypatch.setattr(limits_mod, "_unit_covariances", _CACHED_CELLS)
+        dom = DomainKind.weibull(gamma)
+        model = CovarianceModel.build(dom, 170)
+        reduced = model.reduced_matrix()
+        e = [(gamma + p) / gamma for p in range(1, 171)]
+        for rho in range(1, 171):
+            ratios = [(gamma + j) / (gamma + rho + j) for j in range(1, rho + 1)]
+            for r in range(1, rho + 1):
+                factor = math.prod(ratios[:r])
+                assert covariance_factor(r, rho, dom) == factor
+                cell = factor * math.comb(r + rho, r)
+                assert model.sigma[r - 1, rho - 1] == model.sigma[rho - 1, r - 1] == cell
+                e_r, e_rho = e[r - 1], e[rho - 1]
+                assert reduced[r - 1, rho - 1] == cell - (e_r + e_rho) + e_r * e_rho
+
     def test_invalid_pmax(self):
         with pytest.raises(DomainError):
             CovarianceModel.build(FRECHET, 0)
@@ -200,11 +228,11 @@ class TestLilEnvelope:
                 for p in range(1, 13)
             ]
             # every order from one pass, bit for bit
-            assert _lil_envelopes(12, dom, k, n) == expect
+            assert model_envelopes(12, dom, k, n) == expect
             assert [lil_envelope(p, dom, k, n) for p in range(1, 13)] == expect
 
     def test_domain_errors(self):
-        for envelope in (lil_envelope, _lil_envelopes):
+        for envelope in (lil_envelope, model_envelopes):
             with pytest.raises(DomainError):
                 envelope(0, FRECHET, 100, 1000)
             with pytest.raises(DomainError):
