@@ -5,6 +5,7 @@ statistics, and a brute-force lattice-path counter used as a cross-check.
 All values are Python integers, so results are exact at any size.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from operator import mul
@@ -234,7 +235,8 @@ class NumberTable:
             dmax = min(dmax, tau)
             columns = list(_walk([1] * (vmax + 1), 0, tau - 1))[::-1]
         else:
-            *_, delta_1 = _walk([1] * (vmax + dmax), 0, tau - 1)  # the type II delta = 1 column
+            # the type II delta = 1 column; the deque keeps no earlier column alive
+            delta_1 = deque(_walk([1] * (vmax + dmax), 0, tau - 1), maxlen=1)[0]
             columns = list(_walk(delta_1, 1, dmax - 1))
         entries = {(v, c): columns[c - 1][v] for v in range(vmax + 1) for c in range(1, dmax + 1)}
         return cls(family, tau, vmax, dmax, entries)

@@ -30,8 +30,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfcx, roots_jacobi
+
+# scipy is imported inside the three functions that use it (_jacobi_rule,
+# _scaled_iterated_erfc, m_p_quadrature): loading scipy.special and
+# scipy.integrate takes most of the package's startup time, and estimate,
+# tables, covariance, oracle and Pareto mc never call them
 
 from .errors import DomainError
 from .estimators import SortedSample
@@ -184,6 +187,8 @@ def _jacobi_rule(gamma, nodes):
     """Gauss-Jacobi nodes and weights for the weight (1-u)^gamma on [-1, 1];
     the weights overflow (to inf) for gamma beyond about 1000, and beyond
     about 1e200, where scipy cannot form the rule, both are NaN."""
+    from scipy.special import roots_jacobi
+
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             return roots_jacobi(nodes, gamma, 0.0)
@@ -240,6 +245,8 @@ def _scaled_iterated_erfc(n, x):
     solutions of the recurrence barely separate, and at x = 0 the even and
     odd orders decouple.
     """
+    from scipy.special import erfcx
+
     shallow = n + _MILLER_DEPTH
     deep = 2 * shallow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -319,6 +326,8 @@ def m_p_quadrature(dist, p, x):
     logs, so it is finite wherever the integral is.  The fallback of the
     PowerEndpoint and StretchedTail routes, and the oracle of all three.
     """
+    from scipy import integrate
+
     _check_order(p)
     y0 = dist.y_end
     if x >= y0:
