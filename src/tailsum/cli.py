@@ -3,7 +3,8 @@
 Subcommands: estimate, tables, covariance, mc, oracle.  Every report embeds
 a run manifest (command, every parsed argument but --output and --workers,
 seed, version, timestamp) so results can be reproduced from the output file
-alone.  Reports are strict JSON: a NaN or infinity fails the command.
+alone.  Reports are strict JSON: a NaN or infinity fails the command with
+an error that names the first such field.
 
 ``estimate`` reads its input in blocks of whole lines, each converted by
 one ``float()`` pass over its fields; a bad field is reported at its own
@@ -19,12 +20,13 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
 from . import __version__
 from .distributions import Pareto, PowerEndpoint, StretchedTail, _check_endpoint
-from .errors import DomainError, ParseError, UndefinedEstimateError
+from .errors import DomainError, NonFiniteReportError, ParseError, UndefinedEstimateError
 from .estimators import (
     TailWindow,
     index_estimate,
@@ -85,15 +87,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARAMS, f"{self.prog}: error: {message}\n")
 
 
+def _non_finite_fields(value, path=""):
+    """(path, value) of every NaN or infinite float in a report, in document
+    order; a path reads like ``report.means[1]``."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield path, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite_fields(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite_fields(item, f"{path}[{i}]")
+
+
 def _write_report(path, fmt, manifest, payload=None, rows=None):
     """Write a report to ``path`` (stdout for None or "-"): as json, the
     manifest followed by ``payload``; as csv, ``rows`` followed by a
     ``# manifest:`` trailer line.
 
     The manifest and payload are serialized as strict JSON in both formats,
-    so a NaN or infinity raises ``ValueError`` before anything is written.
+    so a NaN or infinity raises ``NonFiniteReportError``, naming the first
+    such field, before anything is written.
     """
-    text = json.dumps({"manifest": manifest, **(payload or {})}, indent=2, allow_nan=False) + "\n"
+    report = {"manifest": manifest, **(payload or {})}
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        field, value = next(_non_finite_fields(report))
+        raise NonFiniteReportError(f"{field} is {value}, which strict JSON cannot encode") from None
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)

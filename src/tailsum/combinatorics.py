@@ -2,7 +2,11 @@
 number families behind the limiting covariance of the sum-product tail
 statistics, and a brute-force lattice-path counter used as a cross-check.
 
-All values are Python integers, so results are exact at any size.
+The number families are the paper's route to the unit covariances
+(``variance_number``, ``covariance_number``).  The limit model is built
+from the binomial ``limits.covariance_closed`` instead, and this route is
+the oracle it is checked against.  All values are Python integers, so
+results are exact at any size.
 """
 
 from collections import deque

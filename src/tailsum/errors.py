@@ -1,6 +1,12 @@
 """Exception types shared across the library."""
 
-__all__ = ["DomainError", "EnumerationBudgetError", "UndefinedEstimateError", "ParseError"]
+__all__ = [
+    "DomainError",
+    "EnumerationBudgetError",
+    "UndefinedEstimateError",
+    "ParseError",
+    "NonFiniteReportError",
+]
 
 
 class DomainError(ValueError):
@@ -17,3 +23,7 @@ class UndefinedEstimateError(ValueError):
 
 class ParseError(ValueError):
     """An input file contains a row that cannot be interpreted."""
+
+
+class NonFiniteReportError(ValueError):
+    """A report holds a NaN or an infinity, which strict JSON cannot encode."""

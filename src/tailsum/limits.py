@@ -2,12 +2,15 @@
 
 The normalized sum-product statistics converge to a centered Gaussian
 ladder whose covariance at orders (r, rho) is a domain factor times the
-exact integer ``covariance_number(r, rho)``.  Replacing the random
-centering by a deterministic one shifts the process by an index-dependent
-multiple of a common standard Gaussian, which the reduced matrix absorbs.
-``CovarianceModel`` is the only code that turns the integers into floats:
-``build`` takes them from one pass over the number tables and each order's
-weibull factors from one running product.  The scalar covariances and
+unit covariance binomial(r+rho, r).  Replacing the random centering by a
+deterministic one shifts the process by an index-dependent multiple of a
+common standard Gaussian, which the reduced matrix absorbs.
+``CovarianceModel`` is the only code that turns the unit covariances into
+floats: ``build`` takes each from the binomial ``covariance_closed``, the
+production formula, and each order's weibull factors from one running
+product.  The paper's route through the number families
+(``combinatorics.covariance_number``) gives the same integers and is kept
+as the oracle the binomial is checked against.  The scalar covariances and
 ``lil_envelope`` read a cell or an envelope of a model.
 """
 
@@ -18,7 +21,6 @@ from operator import mul
 
 import numpy as np
 
-from .combinatorics import _unit_covariances
 from .errors import DomainError
 
 __all__ = [
@@ -107,7 +109,10 @@ def covariance(r, rho, domain):
 
 
 def covariance_closed(r, rho):
-    """Closed-form oracle for the unit covariance: binomial(r+rho, r).
+    """Unit covariance in closed form: binomial(r+rho, r).
+
+    This is the production formula of every model; the number route
+    ``combinatorics.covariance_number`` is its oracle.
 
     With unit-exponential spacing limits the order-p statistic is a sample
     mean of E^p/p!, so the unit covariance is 1 + Cov(E^r/r!, E^rho/rho!)
@@ -134,6 +139,12 @@ def lil_envelope(p, domain, k, n):
     return CovarianceModel.build(domain, p).lil_envelopes(k, n)[-1]
 
 
+# the largest order whose central binomial C(2p, p), the largest unit
+# covariance of a model, converts to a float; a larger order is refused
+# before any work, since C(2p, p) itself grows without bound in p
+_FLOAT_PMAX = 514
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Evaluated limit model up to a maximal order.
@@ -152,10 +163,15 @@ class CovarianceModel:
     def build(cls, domain, pmax):
         if pmax < 1:
             raise DomainError(f"pmax must be >= 1, got {pmax}")
-        cells = _unit_covariances(pmax)
+        if pmax > _FLOAT_PMAX:
+            raise DomainError(
+                f"pmax must be at most {_FLOAT_PMAX}, where C(2 pmax, pmax) still fits a "
+                f"float, got {pmax}"
+            )
         sig = np.empty((pmax, pmax))
         for rho in range(1, pmax + 1):
-            column = [f * cells[r, rho] for r, f in enumerate(_factor_column(rho, domain), start=1)]
+            factors = _factor_column(rho, domain)
+            column = [f * covariance_closed(r, rho) for r, f in enumerate(factors, start=1)]
             sig[rho - 1, :rho] = sig[:rho, rho - 1] = column
         e = tuple(shift_factor(p, domain) for p in range(1, pmax + 1))
         model = cls(domain, pmax, tuple(np.diag(sig)), sig, e)

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import covariance_number
 from .distributions import sample_top, tau_p, tau_p_at
 from .errors import DomainError
 from .estimators import TailWindow, _check_ladder_range, _ladder_values
-from .limits import CovarianceModel, DomainKind, covariance_closed
+from .limits import CovarianceModel, covariance_closed
 
 __all__ = [
     "ExperimentConfig",
@@ -371,20 +372,21 @@ _ADJUDICATION_RTOL = 1e-3
 
 def adjudicate_covariance(pmax, config=None):
     """
-    For every pair 1 <= r <= rho <= pmax, compare the recursion value, the
-    closed-form binomial, the quadrature oracle, and (where available) the
-    previously tabulated value.  The verdict is "consistent" when all
-    computed routes agree within 1e-3 relative and the tabulated value
-    (if any) matches; a tabulated value contradicted by agreeing routes is
-    flagged "reference-discrepancy".
+    For every pair 1 <= r <= rho <= pmax, compare three independent
+    routes - the recursion value of the number families
+    (``covariance_number``), the closed-form binomial the model is built
+    from, and the quadrature oracle - and (where available) the previously
+    tabulated value.  The verdict is "consistent" when all computed routes
+    agree within 1e-3 relative and the tabulated value (if any) matches; a
+    tabulated value contradicted by agreeing routes is flagged
+    "reference-discrepancy".
     """
     if not (1 <= pmax <= 8):
         raise DomainError(f"pmax must lie in [1, 8], got {pmax}")
-    sigma = CovarianceModel.build(DomainKind.frechet(), pmax).sigma
     rows = []
     for r in range(1, pmax + 1):
         for rho in range(r, pmax + 1):
-            recursion = float(sigma[r - 1, rho - 1])
+            recursion = covariance_number(r, rho)
             closed = covariance_closed(r, rho)
             quad = limit_covariance_quadrature(r, rho, config)
             routes_agree = (
@@ -394,14 +396,14 @@ def adjudicate_covariance(pmax, config=None):
             reference = REFERENCE_COVARIANCE.get((r, rho))
             if not routes_agree:
                 verdict = "oracle-mismatch"
-            elif reference is not None and reference != round(recursion):
+            elif reference is not None and reference != recursion:
                 verdict = "reference-discrepancy"
             else:
                 verdict = "consistent"
             rows.append(
                 {
                     "orders": [r, rho],
-                    "recursion": int(round(recursion)),
+                    "recursion": recursion,
                     "closed_form": int(closed),
                     "quadrature": quad,
                     "reference": reference,

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailsum.cli as cli_mod
-import tailsum.limits as limits_mod
+import tailsum.combinatorics as combinatorics_mod
 import tailsum.montecarlo as montecarlo_mod
 from tailsum import (
+    CovarianceModel,
     DomainKind,
+    NonFiniteReportError,
     ParseError,
     Pareto,
     TailWindow,
@@ -147,13 +149,13 @@ class TestEstimate:
         path = tmp_path / "sampled.txt"
         raw = np.exp(sample_iid(Pareto(1.0), 7, 200).values)
         path.write_text("".join(f"{x!r}\n" for x in raw.tolist()))
-        passes = []
+        builds = []
 
-        def counted(pmax, _pass=limits_mod._unit_covariances):
-            passes.append(pmax)
-            return _pass(pmax)
+        def counted(domain, pmax, _build=CovarianceModel.build):
+            builds.append(pmax)
+            return _build(domain, pmax)
 
-        monkeypatch.setattr(limits_mod, "_unit_covariances", counted)
+        monkeypatch.setattr(CovarianceModel, "build", counted)
         start = time.perf_counter()
         code, out, _ = run_cli(
             capsys, "estimate", "--input", str(path), "--k", "20", "--pmax", "170", *domain_args
@@ -161,7 +163,7 @@ class TestEstimate:
         # about 13 s when each order made its own pass
         assert time.perf_counter() - start < 10.0
         assert code == EXIT_OK
-        assert passes == [170]
+        assert builds == [170]
         envelopes = [entry["lil_envelope"] for entry in json.loads(out)["results"]]
         for p in (1, 2, 3, 85, 170):
             assert envelopes[p - 1] == lil_envelope(p, domain, 20, 200)
@@ -407,6 +409,20 @@ class TestCovariance:
         )
         payload = json.loads(out)
         assert payload["matrix"][0][0] == pytest.approx(4 / 3, rel=1e-14)
+
+    def test_model_commands_skip_the_number_route(self, capsys, monkeypatch, datafile):
+        # the model comes from the binomial; the number tables are its oracle
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command read the number tables")
+
+        monkeypatch.setattr(combinatorics_mod, "_unit_covariances", refuse)
+        monkeypatch.setattr(combinatorics_mod.NumberTable, "build", refuse)
+        code, out, _ = run_cli(capsys, "covariance", "--domain", "frechet", "--pmax", "8")
+        assert code == EXIT_OK
+        assert json.loads(out)["matrix"][7][7] == 12870.0
+        code, out, _ = run_cli(capsys, "estimate", "--input", datafile, "--k", "3", "--pmax", "170")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["results"]) == 170
 
     def test_invalid_gamma(self, capsys):
         code, _, err = run_cli(
@@ -685,7 +701,14 @@ class TestManifest:
         assert manifest["seed"] is None
 
 
-# non-finite results reached without a numpy warning
+# non-finite results reached without a numpy warning, each with the first
+# report field its error must name
+_NON_FINITE_FIELD = {
+    "covariance-json": "matrix[0][0]",
+    "covariance-csv": "matrix[0][0]",
+    "estimate": "results[0].lil_envelope",
+    "mc": "report.means[1]",
+}
 _SILENT_NON_FINITE = {
     "covariance-json": ["covariance", "--domain", "weibull", "--gamma", "1e-300", "--pmax", "3",
                         "--reduced"],
@@ -727,6 +750,7 @@ class TestNonFiniteReports:
         assert code == EXIT_RUNTIME
         assert err.count("error:") == 1
         assert "JSON" in err
+        assert f"NonFiniteReportError: {_NON_FINITE_FIELD[command]} is " in err
         assert out == ""
         assert not path.exists()
 
@@ -768,6 +792,6 @@ class TestNonFiniteReports:
     def test_writer_rejects_nan_before_writing(self, tmp_path):
         path = tmp_path / "report"
         for fmt in ("json", "csv"):
-            with pytest.raises(ValueError):
+            with pytest.raises(NonFiniteReportError, match=r"^value is nan, .*JSON"):
                 _write_report(str(path), fmt, {"seed": None}, {"value": math.nan}, [["nan"]])
             assert not path.exists()

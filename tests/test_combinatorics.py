@@ -75,6 +75,14 @@ class TestTypeI:
                 paths = lattice_path_count(r - 2, r + v - 2, lower=list(range(r - 1)))
                 assert type_i(v, r) == paths, (v, r)
 
+    def test_ballot_number_oracle(self):
+        # the difference of two binomials counts the same paths as
+        # test_lattice_path_oracle by reflection at the diagonal
+        for r in range(3, 12):
+            for v in range(12):
+                ballot = math.comb(2 * r + v - 4, r - 2) - math.comb(2 * r + v - 4, r - 3)
+                assert type_i(v, r) == ballot, (v, r)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             type_i(-1, 3)
@@ -103,6 +111,13 @@ class TestTypeII:
         delta = data.draw(st.integers(1, tau - 1))
         assert type_ii(tau, v, delta) == type_ii(tau, v - 1, delta) + type_ii(tau, v, delta + 1)
 
+    def test_binomial_oracle(self):
+        # column delta is the ones column summed tau - delta times
+        for tau in range(1, 9):
+            for delta in range(1, tau + 1):
+                for v in range(12):
+                    assert type_ii(tau, v, delta) == math.comb(v + tau - delta, v), (tau, v, delta)
+
     def test_delta_bounds(self):
         with pytest.raises(DomainError):
             type_ii(2, 1, 0)
@@ -110,6 +125,9 @@ class TestTypeII:
             type_ii(2, 1, 3)
 
 
+# unlike types I and II, type III has no closed form independent of its own
+# walk; it is checked through its conventions, tables and rules, and through
+# the covariance integers it gives (TestCovarianceNumbers)
 class TestTypeIII:
     def test_conventions(self):
         for tau in (1, 2, 3):

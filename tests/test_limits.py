@@ -1,10 +1,11 @@
-import functools
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
-import tailsum.limits as limits_mod
+import tailsum.combinatorics as combinatorics_mod
 from tailsum import (
     CovarianceModel,
     DomainError,
@@ -21,8 +22,6 @@ FRECHET = DomainKind.frechet()
 GUMBEL = DomainKind.gumbel()
 WEIBULL1 = DomainKind.weibull(1.0)
 WEIBULL2 = DomainKind.weibull(2.0)
-
-_CACHED_CELLS = functools.cache(limits_mod._unit_covariances)
 
 
 def model_envelopes(pmax, dom, k, n):
@@ -178,19 +177,50 @@ class TestModel:
 
     def test_largest_order_is_binomial(self):
         # 170 is the largest order with k * pmax! finite, so the largest an
-        # experiment can ask for
+        # experiment can ask for.  The model is built from the binomial, so
+        # the number route, its oracle, is pinned to it here too
         sigma = CovarianceModel.build(GUMBEL, 170).sigma
+        cells = combinatorics_mod._unit_covariances(170)
         for r in range(1, 171):
             for rho in range(1, 171):
-                assert sigma[r - 1, rho - 1] == float(math.comb(r + rho, r))
+                binomial = math.comb(r + rho, r)
+                assert cells[r, rho] == binomial
+                assert sigma[r - 1, rho - 1] == float(binomial)
+
+    def test_build_never_reads_the_number_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model build read the number tables")
+
+        monkeypatch.setattr(combinatorics_mod, "_unit_covariances", refuse)
+        monkeypatch.setattr(combinatorics_mod.NumberTable, "build", refuse)
+        for dom in (FRECHET, WEIBULL2):
+            sigma = CovarianceModel.build(dom, 170).sigma
+            assert sigma[169, 169] == covariance_factor(170, 170, dom) * math.comb(340, 170)
+
+    @pytest.mark.parametrize("dom", [FRECHET, WEIBULL2], ids=["frechet", "weibull"])
+    def test_orders_past_the_float_range(self, dom):
+        # C(2p, p), the largest unit covariance of a model, first exceeds
+        # the float range at p = 515; the integer becomes a float before any
+        # weibull factor could scale it down
+        assert math.comb(2 * 514, 514) <= sys.float_info.max < math.comb(2 * 515, 515)
+        calls = [
+            lambda: CovarianceModel.build(dom, 515),
+            lambda: covariance(1, 515, dom),
+            lambda: reduced_covariance(515, 1, dom),
+            lambda: lil_envelope(515, dom, 10, 100),
+        ]
+        start = time.perf_counter()
+        for call in calls:
+            with pytest.raises(DomainError, match="514"):
+                call()
+        # refused before any work: the model itself would take about 2 s
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("gamma", [1e-3, 0.5, 1.5, 3000.0, 1e300])
-    def test_weibull_cells_match_per_cell_products(self, gamma, monkeypatch):
+    def test_weibull_cells_match_per_cell_products(self, gamma):
         # the build takes each column's factors from one running product;
         # every cell of sigma and of the reduced matrix must equal its own
-        # per-cell formula, bit for bit.  The integers do not depend on
-        # gamma, so one pass serves every case.
-        monkeypatch.setattr(limits_mod, "_unit_covariances", _CACHED_CELLS)
+        # per-cell formula, bit for bit
         dom = DomainKind.weibull(gamma)
         model = CovarianceModel.build(dom, 170)
         reduced = model.reduced_matrix()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tailsum.combinatorics as combinatorics_mod
 from tailsum import (
     DomainError,
     ExperimentConfig,
@@ -134,6 +135,23 @@ class TestAdjudication:
         for row in adjudicate_covariance(5):
             assert row["recursion"] == row["closed_form"]
             assert row["quadrature"] == pytest.approx(row["closed_form"], rel=1e-3)
+
+    def test_recursion_is_the_number_route(self, monkeypatch):
+        # the recursion column comes from the number families, not from the
+        # binomial the model is built from, so a wrong integer there shows
+        def perturbed(pmax, _pass=combinatorics_mod._unit_covariances):
+            cells = _pass(pmax)
+            if (2, 3) in cells:
+                cells[2, 3] += 1
+            return cells
+
+        monkeypatch.setattr(combinatorics_mod, "_unit_covariances", perturbed)
+        rows = {tuple(row["orders"]): row for row in adjudicate_covariance(4)}
+        assert rows[(2, 3)]["recursion"] == 11
+        assert rows[(2, 3)]["closed_form"] == 10
+        assert rows[(2, 3)]["verdict"] == "oracle-mismatch"
+        others = [row["verdict"] for pair, row in rows.items() if pair != (2, 3)]
+        assert "oracle-mismatch" not in others
 
     def test_pmax_bounds(self):
         with pytest.raises(DomainError):

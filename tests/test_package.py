@@ -11,7 +11,8 @@ HAND_LISTED = [
     "lattice_path_count", "type_i", "type_ii", "type_iii", "variance_number",
     "Pareto", "PowerEndpoint", "StretchedTail", "m_p_quadrature", "m_p_value",
     "quantile", "sample_iid", "sample_top", "tau_p", "tau_p_at",
-    "DomainError", "EnumerationBudgetError", "ParseError", "UndefinedEstimateError",
+    "DomainError", "EnumerationBudgetError", "NonFiniteReportError", "ParseError",
+    "UndefinedEstimateError",
     "SortedSample", "SpacingSet", "TailWindow", "hill", "index_estimate",
     "log_transform", "spacings", "sum_product", "sum_product_enum",
     "sum_product_ladder", "tail_index", "tail_moment",
