@@ -147,7 +147,9 @@ def _parse_line(path, lineno, line):
 
 def read_observations(path):
     """One observation per line; an optional non-numeric first line is
-    treated as a header; commas and whitespace both separate fields.
+    treated as a header; commas and whitespace both separate fields.  One
+    leading UTF-8 byte-order mark, as Windows and spreadsheet tools write,
+    is dropped from the first line.
 
     After the first line the text is converted in blocks of whole lines; a
     block that fails to convert is parsed again line by line only to name
@@ -155,7 +157,7 @@ def read_observations(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                values = _parse_line(path, 1, fh.readline())
+                values = _parse_line(path, 1, fh.readline().removeprefix("\ufeff"))
             except ParseError:
                 values = []  # header line
             lineno = 1

@@ -14,6 +14,7 @@ and a previously tabulated matrix whose off-diagonal entries are in doubt.
 
 import hashlib
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -280,9 +281,15 @@ class QuadratureConfig:
     truncation: float = 60.0
 
     def __post_init__(self):
+        # a float grid would pass the range test and fail later as a stray
+        # TypeError; integer types such as np.int64 pass
+        try:
+            operator.index(self.grid)
+        except TypeError:
+            raise DomainError(f"grid must be an integer, got {self.grid!r}") from None
         # time grows as grid^2 and memory as grid: `oracle --grid 8192` takes
-        # about 0.6 s and 95 MB peak (80 MB of it the imports), while a grid
-        # of 1e8 would ask for about 48 GiB per block of rows
+        # about 0.5 s and 43 MB peak, most of both the imports, while a grid
+        # of 1e8 would ask for about 95 GiB for its two buffers of rows
         if not (64 <= self.grid <= 8192) or self.grid % 2 != 0:
             raise DomainError(f"grid must be even and lie in [64, 8192], got {self.grid}")
         # beyond 700, e^-S is below about 1e-304: a longer range adds nothing
@@ -292,8 +299,8 @@ class QuadratureConfig:
 
 
 # rows of the upper piece per block, so a block stays in cache: at grid 1024
-# the oracle took 0.006 s with 32 or 64 rows, 0.011 s with 256 and 0.03 s
-# with the whole (grid+1)^2 matrix
+# and orders (4, 4) the oracle took 0.0035 s with 32 or 64 rows, 0.0045 s
+# with 128, 0.0064 s with 256 and 0.024 s with the whole triangle in one block
 _ORACLE_CHUNK = 64
 
 
@@ -317,11 +324,24 @@ def limit_covariance_quadrature(r, rho, config=None):
 
     Below the diagonal, t = s*u and the integrand e^-s s^(rho-1) u^(rho-1)
     factors, so the rule over u is one dot product shared by every row s
-    and the piece costs O(grid).  Above it, t = s + (S-s)*u, and the
-    grid^2 integrand is built in row chunks with t^(rho-1) taken by repeated
-    multiplication.  Both factorials and the (S-s) length of the upper
-    piece come out of the sums, so every node and weight is the plain
-    composite Simpson one.
+    and the piece costs O(grid).  Above it, t = s + (S-s)*u, and at the
+    nodes s_a = a*S/g, u_i = i/g that is
+
+        t_ai = S - (S/g^2) (g-a) (g-i) = (S/g^2) (g^2 - (g-a) (g-i)),
+
+    symmetric in (a, i).  So is F = e^-t t^(rho-1), and the piece's whole
+    contribution, the bilinear form sum_ai v_a w_i F_ai with the unit
+    weights w_i and v_a = W_a s_a^(r-1) (S-s_a) from the outer weights W,
+    needs F only on and above the diagonal: half the exponentials and
+    powers of the full square.  It is built in chunks of rows [lo, hi)
+    over the columns i >= lo, the square block on the diagonal weighted
+    once, by v_a w_i, and the columns i >= hi by v_a w_i + w_a v_i, so
+    each chunk is one (rows x columns) @ (columns x 2) product.  t is the
+    exact integer g^2 - (g-a)(g-i) times S/g^2, which keeps it accurate
+    to a few ulps near the origin where the integrand is largest, and
+    t^(rho-1) is taken by repeated multiplication.  Both factorials and
+    the (S-s) length of the upper piece come out of the sums, so every
+    node and weight is the plain composite Simpson one.
     """
     if not (1 <= r <= 8 and 1 <= rho <= 8):
         raise DomainError(f"orders must lie in [1, 8], got ({r}, {rho})")
@@ -331,24 +351,38 @@ def limit_covariance_quadrature(r, rho, config=None):
     s = np.linspace(0.0, S, g + 1)
     frac = np.linspace(0.0, 1.0, g + 1)
     w_unit = _simpson_weights(g) / g  # weights on [0, 1]
-    outer_w = _simpson_weights(g) * (S / g)
+    outer_w = _simpson_weights(g) * (S / g) * s ** (r - 1)  # with s^(r-1)
 
     # lower piece: s * e^-s s^(rho-1) * sum_j w_j u_j^(rho-1)
-    inner = s * np.exp(-s) * s ** (rho - 1) * (frac ** (rho - 1) @ w_unit)
+    total = outer_w @ (s * np.exp(-s) * s ** (rho - 1)) * (frac ** (rho - 1) @ w_unit)
 
-    upper = np.empty(g + 1)
+    # upper piece over the triangle i >= a; column 1 of `weights` is zeroed
+    # on each chunk's diagonal block so that block is counted once.  Both
+    # buffers are flat so that each chunk's prefix is contiguous.
+    v = outer_w * (S - s)
+    steps = np.arange(g, -1, -1, dtype=float)  # g - a
+    weights = np.empty((g + 1, 2))
+    t_buf = np.empty(_ORACLE_CHUNK * (g + 1))
+    f_buf = np.empty(_ORACLE_CHUNK * (g + 1))
     for lo in range(0, g + 1, _ORACLE_CHUNK):
         hi = min(lo + _ORACLE_CHUNK, g + 1)
-        t = np.multiply.outer(S - s[lo:hi], frac)
-        t += s[lo:hi, None]
-        f = np.negative(t)
+        shape = (hi - lo, g + 1 - lo)
+        t = t_buf[: shape[0] * shape[1]].reshape(shape)
+        f = f_buf[: shape[0] * shape[1]].reshape(shape)
+        np.multiply.outer(steps[lo:hi], steps[lo:], out=t)
+        np.subtract(g * g, t, out=t)  # the integer g^2 - (g-a)(g-i), exact
+        t *= S / (g * g)
+        np.negative(t, out=f)
         np.exp(f, out=f)
         for _ in range(rho - 1):
             f *= t
-        upper[lo:hi] = f @ w_unit
-    inner += (S - s) * upper
-    outer = outer_w @ (s ** (r - 1) * inner)
-    return float(outer) / (math.factorial(r - 1) * math.factorial(rho - 1))
+        w = weights[: shape[1]]
+        w[:, 0] = w_unit[lo:]
+        w[: hi - lo, 1] = 0.0
+        w[hi - lo :, 1] = v[hi:]
+        rows = f @ w
+        total += v[lo:hi] @ rows[:, 0] + w_unit[lo:hi] @ rows[:, 1]
+    return float(total) / (math.factorial(r - 1) * math.factorial(rho - 1))
 
 
 # previously tabulated limit covariance values under audit; the printed

@@ -306,6 +306,26 @@ class TestReadObservations:
         with pytest.raises(ParseError, match="need at least two observations"):
             read_observations(str(path))
 
+    @pytest.mark.parametrize("header", ["", "value\n"])
+    def test_byte_order_mark(self, capsys, tmp_path, header):
+        # written by Windows and spreadsheet tools; the first value must stay
+        plain = tmp_path / "plain.txt"
+        plain.write_text("1.5\n2.5\n3.5\n4.5\n")
+        marked = tmp_path / "marked.txt"
+        marked.write_text("\ufeff" + header + "1.5\n2.5\n3.5\n4.5\n", encoding="utf-8")
+        assert read_observations(str(marked)) == [1.5, 2.5, 3.5, 4.5]
+        reports = []
+        for path in (plain, marked):
+            code, out, _ = run_cli(capsys, "estimate", "--input", str(path), "--k", "3", "--pmax", "2")
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            reports.append((payload["n"], payload["results"]))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 4
+        marked.write_text("\ufeff" + header + "1.5\n2.5\nbad\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"marked\.txt:{3 + bool(header)}: cannot parse 'bad'"):
+            read_observations(str(marked))
+
     def test_bad_token_before_undecodable_bytes(self, capsys, tmp_path):
         # blocks are converted as they are read, so the bad token is met first
         path = tmp_path / "mixed.txt"

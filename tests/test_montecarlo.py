@@ -77,7 +77,9 @@ class TestQuadratureOracle:
         outer = w * (S / g) * s[:, 0] ** (r - 1) / math.factorial(r - 1)
         return float(outer @ inner)
 
-    @pytest.mark.parametrize("grid", [64, 128, 256])
+    # at 190 the last chunk of rows is partial (63 rows); the others end in
+    # a one-row chunk
+    @pytest.mark.parametrize("grid", [64, 128, 190, 256])
     @pytest.mark.parametrize("truncation", [40.0, 60.0, 700.0])
     def test_matches_plain_simpson_sum(self, grid, truncation):
         config = QuadratureConfig(grid=grid, truncation=truncation)
@@ -95,6 +97,13 @@ class TestQuadratureOracle:
             QuadratureConfig(grid=127)
         with pytest.raises(DomainError):
             QuadratureConfig(grid=100_000_000)
+        for grid in (1024.0, "1024", None):
+            with pytest.raises(DomainError, match="grid must be an integer"):
+                QuadratureConfig(grid=grid)
+        config = QuadratureConfig(grid=np.int64(130))
+        assert limit_covariance_quadrature(2, 3, config) == limit_covariance_quadrature(
+            2, 3, QuadratureConfig(grid=130)
+        )
         for truncation in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 QuadratureConfig(truncation=truncation)
