@@ -7,9 +7,11 @@ alone.  Reports are strict JSON: a NaN or infinity fails the command with
 an error that names the first such field.
 
 ``estimate`` reads its input in blocks of whole lines, each converted by
-one ``float()`` pass over its fields; a bad field is reported at its own
-line.  Since the file is decoded block by block, a bad field may be
-reported before invalid UTF-8 bytes further on; both exit 3.
+one ``float()`` pass over its fields into a float64 array; the blocks are
+joined into one array, which is all the statistics read.  A bad field is
+reported at its own line.  Since the file is decoded block by block, a
+bad field may be reported before invalid UTF-8 bytes further on; both
+exit 3.
 
 Exit codes: 0 success, 2 I/O failure, 3 unparseable input data,
 4 invalid parameters, 5 runtime or numeric failure.
@@ -23,6 +25,8 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .distributions import Pareto, PowerEndpoint, StretchedTail, _check_endpoint
@@ -151,21 +155,25 @@ def read_observations(path):
     leading UTF-8 byte-order mark, as Windows and spreadsheet tools write,
     is dropped from the first line.
 
-    After the first line the text is converted in blocks of whole lines; a
-    block that fails to convert is parsed again line by line only to name
-    the line of its first bad token."""
+    After the first line the text is converted in blocks of whole lines,
+    each into a float64 array; a block that fails to convert is parsed again
+    line by line only to name the line of its first bad token.  Returns the
+    blocks joined into one float64 array: 8 bytes per observation, where a
+    list of Python floats takes about 32."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                values = _parse_line(path, 1, fh.readline().removeprefix("\ufeff"))
+                first = _parse_line(path, 1, fh.readline().removeprefix("\ufeff"))
             except ParseError:
-                values = []  # header line
+                first = []  # header line
+            blocks = [np.array(first, dtype=float)]
             lineno = 1
             while block := fh.read(_READ_BLOCK):
                 if not block.endswith("\n"):
                     block += fh.readline()
+                fields = block.replace(",", " ").split()
                 try:
-                    values.extend(map(float, block.replace(",", " ").split()))
+                    blocks.append(np.fromiter(map(float, fields), dtype=float, count=len(fields)))
                 except ValueError:
                     for offset, line in enumerate(block.split("\n"), start=lineno + 1):
                         _parse_line(path, offset, line)
@@ -173,7 +181,8 @@ def read_observations(path):
                 lineno += block.count("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-    if len(values) < 2:
+    values = np.concatenate(blocks)
+    if values.size < 2:
         raise ParseError(f"{path}: need at least two observations")
     return values
 

@@ -56,7 +56,8 @@ class SortedSample:
             raise DomainError("a sample needs at least two observations")
         if not np.all(np.isfinite(vals)):
             raise DomainError("sample values must be finite")
-        if np.any(np.diff(vals) < 0):
+        # a boolean temporary, where np.diff would make a float copy
+        if np.any(vals[1:] < vals[:-1]):
             raise DomainError("sample values must be sorted ascending")
 
     @property
@@ -115,7 +116,8 @@ def log_transform(raw):
     arr = np.asarray(raw, dtype=float)
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("observations must be positive and finite for the log transform")
-    y = np.sort(np.log(arr))
+    y = np.log(arr)
+    y.sort()  # in place: np.sort would add a second full-size copy
     return SortedSample(y, below_support=bool(np.any(arr < 1.0)))
 
 

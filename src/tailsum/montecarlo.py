@@ -14,6 +14,7 @@ and a previously tabulated matrix whose off-diagonal entries are in doubt.
 
 import hashlib
 import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -292,6 +293,10 @@ class QuadratureConfig:
         # of 1e8 would ask for about 95 GiB for its two buffers of rows
         if not (64 <= self.grid <= 8192) or self.grid % 2 != 0:
             raise DomainError(f"grid must be even and lie in [64, 8192], got {self.grid}")
+        # a string or None would fail the range test as a stray TypeError;
+        # real types such as np.float64 pass
+        if not isinstance(self.truncation, numbers.Real):
+            raise DomainError(f"truncation must be a real number, got {self.truncation!r}")
         # beyond 700, e^-S is below about 1e-304: a longer range adds nothing
         # but wider Simpson panels
         if not (40.0 <= self.truncation <= 700.0):

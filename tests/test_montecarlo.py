@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,13 @@ class TestQuadratureOracle:
         for truncation in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 QuadratureConfig(truncation=truncation)
+        for truncation in ("60", None, 60 + 0j):
+            message = f"truncation must be a real number, got {truncation!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                QuadratureConfig(truncation=truncation)
+        assert limit_covariance_quadrature(
+            2, 3, QuadratureConfig(grid=130, truncation=np.float64(60.0))
+        ) == limit_covariance_quadrature(2, 3, QuadratureConfig(grid=130))
 
     def test_truncation_upper_bound(self):
         assert QuadratureConfig(truncation=700.0).truncation == 700.0
