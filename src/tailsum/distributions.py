@@ -1,12 +1,18 @@
 """Test distributions, one per domain of attraction, with exact quantiles,
-a deterministic counter-based sampler (of the full sample, or of only its
+deterministic counter-based samplers (of the full sample, or of only its
 top order statistics), and the iterated tail integrals needed to center
 the statistics.
 
 ``sample_iid`` draws its n uniforms with ``Generator.random`` and is the
 reference.  ``sample_top`` reads the same n raw Philox words, selects the
 k+1 largest and converts only those with numpy's own (w >> 11) * 2^-53, so
-its result is the top of ``sample_iid``'s bit for bit.
+its result is the top of ``sample_iid``'s bit for bit, in O(n) per sample;
+``mc`` uses it for Pareto.  ``sample_top_renyi`` draws the survival values
+of the top k+1 order statistics directly, by Renyi's representation, from
+k+1 exponentials and one Gamma(n-k) variate on a stream of its own, and
+maps them through each family's tail quantile: O(k) per sample whatever
+n, with the law of ``sample_top`` but not its values.  ``mc`` uses it for
+PowerEndpoint and StretchedTail, and ``sample_top`` is its reference.
 
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
@@ -47,6 +53,7 @@ __all__ = [
     "quantile",
     "sample_iid",
     "sample_top",
+    "sample_top_renyi",
     "m_p_value",
     "m_p_quadrature",
     "tau_p",
@@ -108,6 +115,9 @@ class Pareto:
     def _y_quantile(self, u):
         return -np.log1p(-u) / self.gamma
 
+    def _y_tail_quantile(self, q):
+        return -np.log(q) / self.gamma
+
     def tail(self, y):
         y = np.asarray(y, dtype=float)
         return np.exp(-self.gamma * np.clip(y, 0.0, None))
@@ -151,6 +161,9 @@ class PowerEndpoint:
 
     def _y_quantile(self, u):
         return np.log(self.x0 - (self.x0 - 1.0) * (1.0 - u) ** (1.0 / self.gamma))
+
+    def _y_tail_quantile(self, q):
+        return np.log(self.x0 - (self.x0 - 1.0) * q ** (1.0 / self.gamma))
 
     def tail(self, y):
         y = np.asarray(y, dtype=float)
@@ -212,6 +225,9 @@ class StretchedTail:
 
     def _y_quantile(self, u):
         return np.sqrt(-np.log1p(-u))
+
+    def _y_tail_quantile(self, q):
+        return np.sqrt(-np.log(q))
 
     def tail(self, y):
         y = np.asarray(y, dtype=float)
@@ -299,20 +315,51 @@ def sample_iid(dist, seed, n):
 def sample_top(dist, seed, n, k):
     """
     The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
-    the sample ``sample_iid(dist, seed, n)``, ascending.
+    the sample ``sample_iid(dist, seed, n)``, ascending: the ``mc`` sampler
+    of Pareto, and the reference ``sample_top_renyi`` is tested against.
 
     The same n raw 64-bit Philox words that ``Generator.random(n)`` reads
     are drawn, but only the k+1 largest are selected and converted, by
     numpy's own double map (w >> 11) * 2^-53.  That map and the quantile
     are non-decreasing, so the result equals
-    ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.
+    ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.  The words
+    take 8n bytes; a size whose words cannot be allocated raises
+    ``DomainError``.
     """
     if not (0 < k < n):
         raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
-    words = _philox("sample", seed).bit_generator.random_raw(n)
+    try:
+        words = _philox("sample", seed).bit_generator.random_raw(n)
+    except MemoryError:
+        raise DomainError(
+            f"cannot allocate the {8 * n} bytes of raw words for a sample of n = {n}"
+        ) from None
     words.partition(n - k - 1)
     u = (words[n - k - 1 :] >> 11) * 2.0**-53
     return np.sort(dist._y_quantile(u))
+
+
+def sample_top_renyi(dist, seed, n, k):
+    """
+    The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
+    an iid sample of size n, ascending, in O(k) time and memory whatever n.
+
+    By Renyi's representation the survival values of the top order
+    statistics, largest first, are q_j = S_j / S_(n+1), j = 1 .. k+1, where
+    S_j are the partial sums of n+1 iid standard exponentials; the n-k
+    exponentials past the (k+1)-th sum to G ~ Gamma(n-k), so
+    q_j = S_j / (S_(k+1) + G).  A Philox stream keyed by ``seed`` under its
+    own label, never shared with ``sample_iid``, draws the k+1 exponentials
+    and then G; the family's tail quantile y = G-bar^(-1)(q) maps the q_j,
+    which descend in y, and reversing them sorts the result.  It has the
+    law of ``sample_top(dist, seed, n, k)``, not its values.
+    """
+    if not (0 < k < n):
+        raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
+    rng = _philox("top", seed)
+    sums = np.cumsum(rng.standard_exponential(k + 1))
+    q = sums / (sums[-1] + rng.standard_gamma(n - k))
+    return dist._y_tail_quantile(q)[::-1]
 
 
 _QUAD_RTOL = 1e-10

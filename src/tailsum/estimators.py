@@ -110,10 +110,13 @@ def log_transform(raw):
     """
     Natural logs of positive raw observations, sorted ascending.
 
-    Raises DomainError on non-positive values.  Values below 1 are legal
-    but set the ``below_support`` flag on the returned sample.
+    Raises DomainError on input that is not one-dimensional and on
+    non-positive values.  Values below 1 are legal but set the
+    ``below_support`` flag on the returned sample.
     """
     arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 1:
+        raise DomainError(f"a sample must be one-dimensional, got shape {arr.shape}")
     if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
         raise DomainError("observations must be positive and finite for the log transform")
     y = np.log(arr)

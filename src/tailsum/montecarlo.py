@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import covariance_number
-from .distributions import sample_top, tau_p, tau_p_at
+from .distributions import Pareto, sample_top, sample_top_renyi, tau_p, tau_p_at
 from .errors import DomainError
 from .estimators import TailWindow, _check_ladder_range, _ladder_values
 from .limits import CovarianceModel, covariance_closed
@@ -145,14 +145,19 @@ def replication_block(config, tau_fixed, lo, hi):
     sample keyed by replication lo+i, and the center is ``tau_fixed`` under
     fixed centering or the centering value at that sample's own threshold
     Y_{n-k,n} under random centering.  Each row depends on its replication
-    index only.
+    index only.  PowerEndpoint and StretchedTail draw the top order
+    statistics by ``sample_top_renyi``, in O(k) per replication, so n can
+    be 1e9 or more; Pareto draws them by ``sample_top``, in O(n).
     """
     if not (0 <= lo < hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n, k, pmax = config.n, config.k, config.pmax
     window = TailWindow(n, k, config.l)
+    # Pareto moves to sample_top_renyi once its benchmark gate uses exact
+    # standard errors (ROADMAP item 3)
+    sampler = sample_top if isinstance(config.dist, Pareto) else sample_top_renyi
     top = np.stack(
-        [sample_top(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
+        [sampler(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
     )
     ladder = _ladder_values(top, config.l, pmax)
     tau = np.asarray(tau_fixed)

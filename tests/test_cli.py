@@ -502,6 +502,49 @@ class TestMonteCarloCommand:
             outputs.append(strip_timestamp(out))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("dist", [["stretched"], ["power", "--gamma", "1.5"]])
+    def test_light_tail_workers_do_not_change_bytes(self, capsys, dist):
+        outputs = []
+        for workers in ("1", "2", "8"):
+            _, out, _ = run_cli(
+                capsys, "mc", "--dist", *dist, "--n", "3000", "--k", "100", "--pmax", "3",
+                "--reps", "80", "--seed", "5", "--workers", workers,
+            )
+            outputs.append(strip_timestamp(out))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("dist", [["stretched"], ["power", "--gamma", "1.5"]])
+    def test_light_tail_at_a_billion(self, capsys, monkeypatch, dist):
+        # the light-tail families draw only the top k+1 order statistics, in
+        # O(k) per replication; Pareto's sampler would allocate 8 GB per
+        # replication here, so it is never run at this n, and the test stops
+        # before it if a light-tail run ever reaches it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the O(n) sampler ran at n = 1e9")
+
+        monkeypatch.setattr(montecarlo_mod, "sample_top", refuse)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "mc", "--dist", *dist, "--n", "1000000000", "--k", "1000", "--pmax", "3",
+            "--reps", "64", "--seed", "1",
+        )
+        assert code == EXIT_OK, err
+        assert time.perf_counter() - start <= 10.0
+        assert json.loads(out)["report"]["n"] == 10**9
+
+    def test_unallocatable_pareto_sample(self, capsys):
+        # 8e15 bytes of raw words fail at allocation, before any memory is
+        # touched
+        code, out, err = run_cli(
+            capsys, "mc", "--dist", "pareto", "--n", "1000000000000000", "--k", "1000",
+            "--pmax", "2", "--reps", "2", "--seed", "1",
+        )
+        assert code == EXIT_PARAMS
+        assert err.count("error:") == 1
+        assert err.count("\n") == 1
+        assert "n = 1000000000000000" in err and "8000000000000000 bytes" in err
+        assert out == ""
+
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")
         assert code == EXIT_PARAMS

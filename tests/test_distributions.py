@@ -3,13 +3,14 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 import tailsum.distributions
 from tailsum import (
     DomainError,
     Pareto,
     PowerEndpoint,
+    SortedSample,
     StretchedTail,
     TailWindow,
     m_p_quadrature,
@@ -17,6 +18,8 @@ from tailsum import (
     quantile,
     sample_iid,
     sample_top,
+    sample_top_renyi,
+    sum_product_ladder,
     tau_p,
     tau_p_at,
 )
@@ -199,6 +202,85 @@ class TestTopSampler:
         for n, k in [(10, 0), (10, 10), (10, 11)]:
             with pytest.raises(DomainError):
                 sample_top(Pareto(1.0), 1, n, k)
+
+    def test_unallocatable_sample_rejected(self):
+        # the 8e15 bytes of words fail at allocation, before any memory is
+        # touched; no size that could really be allocated is tried here
+        with pytest.raises(DomainError, match=r"8000000000000000 bytes .* n = 1000000000000000$"):
+            sample_top(Pareto(1.0), 1, 10**15, 1000)
+
+
+def top_features(top, pmax=3):
+    """Threshold, maximum and T_1 .. T_pmax (l = 0) of top order statistics."""
+    k = top.size - 1
+    ladder = sum_product_ladder(SortedSample(top), TailWindow(k + 1, k, 0), pmax)
+    return [top[0], top[-1], *ladder]
+
+
+class TestRenyiSampler:
+    # near x0 the log scale itself loses digits of the distance to the
+    # endpoint (about 1e-12 relative at gamma 1.5, n = 1e5), so PowerEndpoint
+    # is checked where the top order statistics keep their distance
+    @pytest.mark.parametrize(
+        "dist, n, k",
+        [
+            (Pareto(1.0), 100_000, 1000),
+            (Pareto(2.5), 10**9, 1000),
+            (StretchedTail(), 100_000, 1000),
+            (StretchedTail(), 10**9, 1000),
+            (StretchedTail(), 10, 9),
+            (PowerEndpoint(1.5), 3000, 150),
+            (PowerEndpoint(1.5), 20_000, 1000),
+            (PowerEndpoint(3.0, 1.5), 100_000, 1000),
+        ],
+    )
+    def test_tail_gives_back_survivals(self, dist, n, k):
+        # q_j = S_j / (S_(k+1) + G), j = 1 .. k+1, from the sampler's own
+        # stream: the survival values of the top order statistics, largest
+        # first
+        for seed in range(10):
+            rng = tailsum.distributions._philox("top", seed)
+            sums = np.cumsum(rng.standard_exponential(k + 1))
+            q = sums / (sums[-1] + rng.standard_gamma(n - k))
+            top = sample_top_renyi(dist, seed, n, k)
+            assert top.shape == (k + 1,)
+            assert np.all(np.diff(top) >= 0)
+            assert np.allclose(dist.tail(top), q[::-1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dist", TOP_DISTS)
+    def test_threshold_and_maximum_survivals_are_beta(self, dist):
+        # the survival value of Y_(n-k,n) is the (k+1)-th smallest of n
+        # uniforms, Beta(k+1, n-k); that of Y_(n,n) the smallest, Beta(1, n).
+        # Survivals come from the raw-scale cdf, not from dist.tail
+        n, k, reps = 100_000, 1000, 2000
+        tops = [sample_top_renyi(dist, seed, n, k) for seed in range(reps)]
+        threshold = [1.0 - cdf(dist, math.exp(top[0])) for top in tops]
+        maximum = [1.0 - cdf(dist, math.exp(top[-1])) for top in tops]
+        assert stats.kstest(threshold, stats.beta(k + 1, n - k).cdf).pvalue >= 0.01
+        assert stats.kstest(maximum, stats.beta(1, n).cdf).pvalue >= 0.01
+
+    @pytest.mark.parametrize("dist", [StretchedTail(), PowerEndpoint(1.5)])
+    def test_same_law_as_full_sample_top(self, dist):
+        # two-sample KS against sample_top, whose streams are independent of
+        # the O(k) sampler's for the same seeds
+        n, k, reps = 100_000, 1000, 1000
+        renyi = np.array([top_features(sample_top_renyi(dist, seed, n, k)) for seed in range(reps)])
+        full = np.array([top_features(sample_top(dist, seed, n, k)) for seed in range(reps)])
+        for name, a, b in zip(["threshold", "maximum", "T_1", "T_2", "T_3"], renyi.T, full.T):
+            assert stats.ks_2samp(a, b).pvalue >= 0.01, name
+
+    def test_cost_does_not_grow_with_n(self):
+        # sample_top would need 8e15 bytes here
+        for dist in TOP_DISTS:
+            top = sample_top_renyi(dist, 1, 10**15, 1000)
+            assert top.shape == (1001,)
+            assert np.all(np.isfinite(top))
+            assert np.all(np.diff(top) >= 0)
+
+    def test_window_rejected(self):
+        for n, k in [(10, 0), (10, 10), (10, 11)]:
+            with pytest.raises(DomainError):
+                sample_top_renyi(StretchedTail(), 1, n, k)
 
 
 class TestIteratedTailIntegral:

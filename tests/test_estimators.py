@@ -66,6 +66,13 @@ class TestLogTransform:
         s = log_transform([8.0, 2.0, 4.0])
         assert np.all(np.diff(s.values) >= 0)
 
+    @pytest.mark.parametrize(
+        "raw, shape", [(5.0, r"\(\)"), ([[1.0, 2.0], [3.0, 4.0]], r"\(2, 2\)")]
+    )
+    def test_rejects_non_vector_input(self, raw, shape):
+        with pytest.raises(DomainError, match=f"one-dimensional, got shape {shape}"):
+            log_transform(raw)
+
 
 class TestWindowAndSpacings:
     def test_window_invariants(self):

@@ -13,6 +13,7 @@ from tailsum import (
     Pareto,
     PowerEndpoint,
     QuadratureConfig,
+    SortedSample,
     StretchedTail,
     TailWindow,
     adjudicate_covariance,
@@ -21,6 +22,7 @@ from tailsum import (
     replication_block,
     run_experiment,
     sample_iid,
+    sample_top_renyi,
     sum_product_ladder,
     tau_p,
     tau_p_at,
@@ -257,17 +259,22 @@ class TestRunExperiment:
         ],
     )
     def test_matches_full_sample_loop(self, dist, centering, l):
-        # reference: every replication sorts its whole sample and runs the
-        # single-sample ladder
+        # reference: every replication runs the single-sample ladder on its
+        # own sample: Pareto's whole sorted sample, and the top k+1 order
+        # statistics the O(k) sampler draws for the light-tail families
         n, k, pmax, reps, seed = 3000, 150, 3, BLOCK + 7, 29
         config = ExperimentConfig(dist, n, k, l, pmax, reps, seed, centering=centering)
         window = TailWindow(n, k, l)
         taus = [tau_p(dist, p, window) for p in range(1, pmax + 1)]
         rows = []
         for rep in range(reps):
-            sample = sample_iid(dist, rep_seed(seed, rep), n)
-            ladder = sum_product_ladder(sample, window, pmax)
-            threshold = float(sample.values[n - k - 1])
+            if isinstance(dist, Pareto):
+                sample = sample_iid(dist, rep_seed(seed, rep), n)
+                ladder = sum_product_ladder(sample, window, pmax)
+            else:
+                sample = SortedSample(sample_top_renyi(dist, rep_seed(seed, rep), n, k))
+                ladder = sum_product_ladder(sample, TailWindow(k + 1, k, l), pmax)
+            threshold = float(sample.values[-k - 1])
             center = taus if centering == "fixed" else [
                 tau_p_at(dist, p, window, threshold) for p in range(1, pmax + 1)
             ]
