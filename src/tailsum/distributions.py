@@ -15,19 +15,18 @@ n, with the law of ``sample_top`` but not its values.  ``mc`` uses it for
 PowerEndpoint and StretchedTail, and ``sample_top`` is its reference.
 
 All three families satisfy F(1) = 0, so log-scale observations are
-non-negative.  ``m_p`` is the p-fold iterated integral of the log-scale
+non-negative.  m_p is the p-fold iterated integral of the log-scale
 survival function from a threshold up to the support end; the centering
-sequence is tau_p = (n/k) m_p evaluated at the window threshold.  ``m_p``
-and ``tau_p_at`` take a float or an array of thresholds (a float gives a
-float), so a Monte Carlo block is centered by one call per order.  Each
-family has one route to m_p: Pareto a closed form; PowerEndpoint a
-Gauss-Jacobi rule checked against the rule with half its nodes; and
-StretchedTail, where m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun
-7.2), Miller's backward recurrence for the scaled e^(x^2) i^n erfc(x),
-checked against the same recurrence started twice as deep (Gautschi, SIAM
-Rev. 1967).  Thresholds whose check fails, on either checked route, take
-adaptive quadrature (``m_p_quadrature``), which is also the oracle for every
-route.
+sequence is tau_p = (n/k) m_p evaluated at the window threshold.  Each
+family has one route, which yields m_1 .. m_pmax at an array of thresholds
+in one call: Pareto a closed form; PowerEndpoint a Gauss-Jacobi rule
+checked against the rule with half its nodes; and StretchedTail, where
+m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun 7.2), one pass of
+Miller's backward recurrence for the scaled e^(x^2) i^n erfc(x), checked
+against the same pass started twice as deep (Gautschi, SIAM Rev. 1967).
+(Threshold, order) elements whose check fails take adaptive quadrature
+(``m_p_quadrature``), the oracle of every route.  ``tau_p_at`` and
+``tau_p`` center at every order in one call, ``m_p_value`` at one order.
 """
 
 import functools
@@ -81,15 +80,6 @@ def _thresholds(dist, x):
     return xs
 
 
-def _checked(dist, p, xs, values, ok, x):
-    """``values`` where the route's check passed (``ok``) and
-    ``m_p_quadrature`` elsewhere, as a float when ``x`` is a scalar."""
-    values = np.array(values, dtype=float)
-    for i in np.flatnonzero(~ok):
-        values.flat[i] = m_p_quadrature(dist, p, float(xs.flat[i]))
-    return float(values) if np.ndim(x) == 0 else values
-
-
 @dataclass(frozen=True)
 class Pareto:
     """Power-law tail F(x) = 1 - x^(-gamma) on x >= 1 (heavy-tailed domain).
@@ -122,17 +112,17 @@ class Pareto:
         y = np.asarray(y, dtype=float)
         return np.exp(-self.gamma * np.clip(y, 0.0, None))
 
-    def m_p(self, p, x):
-        _check_order(p)
-        xs = _thresholds(self, x)
-        try:
-            scale = self.gamma ** (-p)
-        except OverflowError:
-            raise DomainError(f"m_{p} exceeds the float range at gamma = {self.gamma}") from None
+    def _m_route(self, pmax, xs):
+        scales = []
+        for p in range(1, pmax + 1):
+            try:
+                scales.append(self.gamma ** (-p))
+            except OverflowError:
+                raise DomainError(f"m_{p} exceeds the float range at gamma = {self.gamma}") from None
         # math.exp per threshold: np.exp differs from it in the last bit on
         # some arguments, and Pareto reports stay bit for bit what they were
-        values = scale * np.array([math.exp(-self.gamma * t) for t in xs.flat]).reshape(xs.shape)
-        return float(values) if np.ndim(x) == 0 else values
+        tails = np.array([math.exp(-self.gamma * t) for t in xs.flat]).reshape(xs.shape + (1,))
+        return tails * scales, np.full(xs.shape + (pmax,), True)
 
 
 @dataclass(frozen=True)
@@ -170,29 +160,29 @@ class PowerEndpoint:
         inside = np.clip((self.x0 - np.exp(np.clip(y, 0.0, self.y_end))) / (self.x0 - 1.0), 0.0, 1.0)
         return inside**self.gamma
 
-    def m_p(self, p, x):
-        _check_order(p)
-        xs = _thresholds(self, x)
+    def _m_route(self, pmax, xs):
         # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
         # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
         # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits;
-        # one row of nodes per threshold
+        # one row of nodes per threshold, shared by every order
         h = 0.5 * (self.y_end - xs)
+        orders = range(1, pmax + 1)
         values = []
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             # h^p / (p-1)! in logs, so it is finite wherever m_p is
-            lead = np.exp(p * np.log(h) - math.lgamma(p))
+            log_h = np.log(h)
+            lead = np.stack([np.exp(p * log_h - math.lgamma(p)) for p in orders], axis=-1)
             for nodes in (64, 128):
                 u, w = _jacobi_rule(self.gamma, nodes)
                 s = h[..., None] * (1.0 - u)
-                factor = self.x0 * -np.expm1(-s) / ((self.x0 - 1.0) * (1.0 - u))
-                terms = w * (1.0 + u) ** (p - 1) * factor**self.gamma
-                values.append(lead * terms.sum(axis=-1))
+                factor = (self.x0 * -np.expm1(-s) / ((self.x0 - 1.0) * (1.0 - u))) ** self.gamma
+                sums = [(w * (1.0 + u) ** (p - 1) * factor).sum(axis=-1) for p in orders]
+                values.append(lead * np.stack(sums, axis=-1))
         coarse, fine = values
         # the check fails where no fixed rule fits (extreme gamma * ln(x0))
         # and where the weights overflow (gamma beyond about 1000)
         ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
-        return _checked(self, p, xs, fine, ok, x)
+        return fine, ok
 
 
 @functools.lru_cache(maxsize=32)
@@ -233,12 +223,9 @@ class StretchedTail:
         y = np.asarray(y, dtype=float)
         return np.exp(-np.clip(y, 0.0, None) ** 2)
 
-    def m_p(self, p, x):
-        _check_order(p)
-        xs = _thresholds(self, x)
-        f, ok = _scaled_iterated_erfc(p - 1, xs)
-        values = (0.5 * math.sqrt(math.pi)) * f * np.exp(-xs * xs)
-        return _checked(self, p, xs, values, ok, x)
+    def _m_route(self, pmax, xs):
+        f, ok = _scaled_iterated_erfc(pmax, xs)
+        return (0.5 * math.sqrt(math.pi)) * f * np.exp(-xs * xs)[..., None], ok
 
 
 # start depth of the Miller recurrence beyond the order wanted; the check
@@ -246,24 +233,24 @@ class StretchedTail:
 _MILLER_DEPTH = 60
 
 
-def _scaled_iterated_erfc(n, x):
+def _scaled_iterated_erfc(pmax, x):
     """
-    f_n = e^(x^2) i^n erfc(x) at an array of thresholds x, by Miller's
-    backward recurrence, with a mask of the elements that passed its check.
+    f_n = e^(x^2) i^n erfc(x), n < pmax, on a trailing axis at thresholds x
+    by one pass of Miller's backward recurrence, and the check's pass mask.
 
     The ratios r_m = f_m / f_(m-1) satisfy r_m = 1 / (2x + 2(m+1) r_(m+1))
     (from 2(m+1) f_(m+1) = f_(m-1) - 2x f_m); started at depth N from the
     asymptotic ratio 1 / (x + sqrt(x^2 + 2(N+1))) of the minimal solution,
     they give f_n = erfcx(x) r_1 ... r_n.  The recurrence runs from
-    N = n + 60 and from 2N; an element passes when the two values are
-    finite, positive and within 1e-12 relative.  Below x of about 1.2
+    N = pmax - 1 + 60 and from 2N; an element passes when the two values
+    are finite, positive and within 1e-12 relative.  Below x of about 1.2
     (n = 1), 1.4 (n = 7) or 1.8 (n = 29) it mostly fails: there the two
     solutions of the recurrence barely separate, and at x = 0 the even and
     odd orders decouple.
     """
     from scipy.special import erfcx
 
-    shallow = n + _MILLER_DEPTH
+    shallow = pmax - 1 + _MILLER_DEPTH
     deep = 2 * shallow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         two_x = 2.0 * x
@@ -272,12 +259,13 @@ def _scaled_iterated_erfc(n, x):
         for m in range(deep, shallow, -1):
             ratio = 1.0 / (two_x + 2.0 * (m + 1) * ratio)
         ratio = np.stack([start[0], ratio])
-        product = np.ones_like(ratio)
+        ratios = []
         for m in range(shallow, 0, -1):
             ratio = 1.0 / (two_x + 2.0 * (m + 1) * ratio)
-            if m <= n:
-                product *= ratio
-        coarse, fine = erfcx(x) * product
+            if m < pmax:
+                ratios.append(ratio)
+        product = np.cumprod(np.stack([np.ones_like(ratio), *ratios[::-1]], axis=-1), axis=-1)
+        coarse, fine = erfcx(x)[..., None] * product
         ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
     return fine, ok
 
@@ -323,14 +311,14 @@ def sample_top(dist, seed, n, k):
     numpy's own double map (w >> 11) * 2^-53.  That map and the quantile
     are non-decreasing, so the result equals
     ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.  The words
-    take 8n bytes; a size whose words cannot be allocated raises
-    ``DomainError``.
+    take 8n bytes; a size whose words cannot be allocated, or that exceeds
+    numpy's largest array, raises ``DomainError``.
     """
     if not (0 < k < n):
         raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
     try:
         words = _philox("sample", seed).bit_generator.random_raw(n)
-    except MemoryError:
+    except (MemoryError, ValueError):
         raise DomainError(
             f"cannot allocate the {8 * n} bytes of raw words for a sample of n = {n}"
         ) from None
@@ -393,22 +381,35 @@ def m_p_quadrature(dist, p, x):
     return value
 
 
+def _m_orders(dist, x, first, last):
+    """m_first .. m_last along a trailing axis at the thresholds x, by the
+    family's route; each (threshold, order) element whose check failed
+    takes ``m_p_quadrature``."""
+    xs = _thresholds(dist, x)
+    values, ok = dist._m_route(last, xs)
+    values, ok = values[..., first - 1 :], ok[..., first - 1 :]
+    for index in zip(*np.nonzero(~ok)):
+        values[index] = m_p_quadrature(dist, first + int(index[-1]), float(xs[index[:-1]]))
+    return values
+
+
 def m_p_value(dist, p, x):
-    """Iterated tail integral m_p(x) by the family's route, at a float or
-    an array of thresholds: Pareto's closed form, PowerEndpoint's checked
-    Gauss-Jacobi rule, StretchedTail's checked recurrence (adaptive
-    quadrature where a check fails)."""
-    return dist.m_p(p, x)
+    """Iterated tail integral m_p(x) of one order by the family's route, at
+    a float (float out) or an array of thresholds."""
+    _check_order(p)
+    values = _m_orders(dist, x, p, p)[..., 0]
+    return float(values) if np.ndim(x) == 0 else values
 
 
-def tau_p(dist, p, window):
-    """Centering value (n/k) m_p at the deterministic threshold
-    x_n = G^(-1)(1 - k/n)."""
-    x_n = float(dist._y_quantile(1.0 - window.k / window.n))
-    return tau_p_at(dist, p, window, x_n)
+def tau_p(dist, pmax, window):
+    """Centering values (n/k) m_p, p = 1 .. pmax, at the deterministic
+    threshold x_n = G^(-1)(1 - k/n), taken as the tail quantile at k/n."""
+    x_n = float(dist._y_tail_quantile(window.k / window.n))
+    return tau_p_at(dist, pmax, window, x_n)
 
 
-def tau_p_at(dist, p, window, threshold):
-    """Centering value (n/k) m_p at an arbitrary (typically random)
-    threshold, or elementwise at an array of thresholds."""
-    return (window.n / window.k) * m_p_value(dist, p, threshold)
+def tau_p_at(dist, pmax, window, threshold):
+    """Centering values (n/k) m_p, p = 1 .. pmax, along a trailing axis at
+    an arbitrary (typically random) threshold or an array of thresholds."""
+    _check_order(pmax)
+    return (window.n / window.k) * _m_orders(dist, threshold, 1, pmax)

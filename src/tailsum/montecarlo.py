@@ -143,18 +143,19 @@ def replication_block(config, tau_fixed, lo, hi):
     Row i is sqrt(k) (T_p - center_p) / tau_p at the deterministic
     threshold, where T_p comes from the top k+1 order statistics of the
     sample keyed by replication lo+i, and the center is ``tau_fixed`` under
-    fixed centering or the centering value at that sample's own threshold
-    Y_{n-k,n} under random centering.  Each row depends on its replication
-    index only.  PowerEndpoint and StretchedTail draw the top order
-    statistics by ``sample_top_renyi``, in O(k) per replication, so n can
-    be 1e9 or more; Pareto draws them by ``sample_top``, in O(n).
+    fixed centering or the centering values at that sample's own threshold
+    Y_{n-k,n} under random centering, every order of the block from one
+    ``tau_p_at`` call.  Each row depends on its replication index only.
+    PowerEndpoint and StretchedTail draw the top order statistics by
+    ``sample_top_renyi``, in O(k) per replication, so n can be 1e9 or more;
+    Pareto draws them by ``sample_top``, in O(n).
     """
     if not (0 <= lo < hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n, k, pmax = config.n, config.k, config.pmax
     window = TailWindow(n, k, config.l)
     # Pareto moves to sample_top_renyi once its benchmark gate uses exact
-    # standard errors (ROADMAP item 3)
+    # standard errors (ROADMAP item 2)
     sampler = sample_top if isinstance(config.dist, Pareto) else sample_top_renyi
     top = np.stack(
         [sampler(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
@@ -164,10 +165,7 @@ def replication_block(config, tau_fixed, lo, hi):
     if config.centering == "fixed":
         center = tau
     else:
-        threshold = top[:, 0]
-        center = np.stack(
-            [tau_p_at(config.dist, p, window, threshold) for p in range(1, pmax + 1)], axis=1
-        )
+        center = tau_p_at(config.dist, pmax, window, top[:, 0])
     # a centering value of 0 at an order >= 2 (below the float range) gives
     # non-finite rows, which the report check stops; numpy need not warn
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -186,7 +184,7 @@ def run_experiment(config, workers=1):
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     window = TailWindow(config.n, config.k, config.l)
-    tau_fixed = [tau_p(config.dist, p, window) for p in range(1, config.pmax + 1)]
+    tau_fixed = tau_p(config.dist, config.pmax, window)
     # a zero at order 1 leaves nothing to normalize by; a zero at a higher
     # order alone is a value below the float range, whose statistics come
     # out non-finite and are stopped by the report check

@@ -532,18 +532,30 @@ class TestMonteCarloCommand:
         assert time.perf_counter() - start <= 10.0
         assert json.loads(out)["report"]["n"] == 10**9
 
-    def test_unallocatable_pareto_sample(self, capsys):
-        # 8e15 bytes of raw words fail at allocation, before any memory is
-        # touched
+    @pytest.mark.parametrize("dist", [["stretched"], ["power", "--gamma", "1.5"]])
+    def test_light_tail_at_1e20(self, capsys, dist):
+        # 1 - k/n rounds to 1 here; the deterministic threshold comes from
+        # the tail quantile at k/n, so the run needs no warning or error
         code, out, err = run_cli(
-            capsys, "mc", "--dist", "pareto", "--n", "1000000000000000", "--k", "1000",
+            capsys, "mc", "--dist", *dist, "--n", "100000000000000000000", "--k", "1000",
             "--pmax", "2", "--reps", "2", "--seed", "1",
         )
-        assert code == EXIT_PARAMS
-        assert err.count("error:") == 1
-        assert err.count("\n") == 1
-        assert "n = 1000000000000000" in err and "8000000000000000 bytes" in err
-        assert out == ""
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["report"]["n"] == 10**20
+
+    def test_unallocatable_pareto_sample(self, capsys):
+        # 8e15 bytes of raw words fail at allocation, before any memory is
+        # touched; numpy refuses the larger sizes as an array size
+        for n in (10**15, 5 * 10**18, 10**20):
+            code, out, err = run_cli(
+                capsys, "mc", "--dist", "pareto", "--n", str(n), "--k", "1000",
+                "--pmax", "2", "--reps", "2", "--seed", "1",
+            )
+            assert code == EXIT_PARAMS
+            assert err.count("error:") == 1
+            assert err.count("\n") == 1
+            assert f"n = {n}" in err and f"{8 * n} bytes" in err
+            assert out == ""
 
     def test_workers_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")

@@ -205,9 +205,11 @@ class TestTopSampler:
 
     def test_unallocatable_sample_rejected(self):
         # the 8e15 bytes of words fail at allocation, before any memory is
-        # touched; no size that could really be allocated is tried here
-        with pytest.raises(DomainError, match=r"8000000000000000 bytes .* n = 1000000000000000$"):
-            sample_top(Pareto(1.0), 1, 10**15, 1000)
+        # touched; numpy refuses 4e19 bytes and more than 2^63 words as an
+        # array size; no size that could really be allocated is tried here
+        for n in (10**15, 5 * 10**18, 10**20):
+            with pytest.raises(DomainError, match=rf"{8 * n} bytes .* n = {n}$"):
+                sample_top(Pareto(1.0), 1, n, 1000)
 
 
 def top_features(top, pmax=3):
@@ -290,9 +292,9 @@ class TestIteratedTailIntegral:
         assert m_p_value(Pareto(2.0), 1, 0.5) == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
 
     def test_pareto_beyond_float_range(self):
-        assert Pareto(1e-300).m_p(1, 0.0) == pytest.approx(1e300, rel=1e-15)
+        assert m_p_value(Pareto(1e-300), 1, 0.0) == pytest.approx(1e300, rel=1e-15)
         with pytest.raises(DomainError):
-            Pareto(1e-300).m_p(2, 0.0)
+            m_p_value(Pareto(1e-300), 2, 0.0)
 
     def test_stretched_tail_base_integral(self):
         assert m_p_value(StretchedTail(), 1, 0.0) == pytest.approx(
@@ -358,14 +360,14 @@ class TestIteratedTailIntegral:
                 for frac in (0.0, 0.5):
                     x = frac * dist.y_end
                     expected = unit_shape_m_p(x0, p, x)
-                    assert dist.m_p(p, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+                    assert m_p_value(dist, p, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_high_order_on_long_support(self):
         # h^p and (t - x)^(p-1) exceed the float range here, m_120 does not
         dist = PowerEndpoint(1.0, 1e300)
         expected = unit_shape_m_p(1e300, 120, 0.0)
         assert 1e141 < expected < 1e142
-        assert dist.m_p(120, 0.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert m_p_value(dist, 120, 0.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert m_p_quadrature(dist, 120, 0.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_stretched_quadrature_at_high_order(self):
@@ -378,7 +380,7 @@ class TestIteratedTailIntegral:
     def test_endpoint_rule_falls_back_to_quadrature(self):
         # the 64- and 128-node rules disagree at gamma * ln(x0) this large
         dist = PowerEndpoint(100.0, 1e8)
-        assert dist.m_p(1, 0.0) == m_p_quadrature(dist, 1, 0.0)
+        assert m_p_value(dist, 1, 0.0) == m_p_quadrature(dist, 1, 0.0)
 
     def test_quadrature_relative_tolerance_at_small_values(self):
         dist = PowerEndpoint(0.3, 2.0)
@@ -416,23 +418,26 @@ class TestIteratedTailIntegral:
 
 class TestCentering:
     def test_pareto_centering_is_constant(self):
-        for n, k in [(1000, 50), (100_000, 1000)]:
+        # at n = 1e12 a threshold formed from 1 - k/n is 2.8e-8 off, and
+        # from n of about 1e17 that difference rounds to 1
+        sizes = [(1000, 50), (100_000, 1000), (10**12, 1000), (10**15, 1000), (10**20, 1000)]
+        for n, k in sizes:
             w = TailWindow(n, k, 0)
+            taus = tau_p(Pareto(2.0), 3, w)
             for p in (1, 2, 3):
-                assert tau_p(Pareto(2.0), p, w) == pytest.approx(2.0 ** (-p), rel=1e-12)
+                assert taus[p - 1] == pytest.approx(2.0 ** (-p), rel=1e-12)
 
     def test_threshold_form_matches_at_deterministic_point(self):
         w = TailWindow(5000, 200, 0)
         for dist in (Pareto(1.0), PowerEndpoint(1.0, 2.0)):
             x_n = float(dist._y_quantile(1.0 - w.k / w.n))
-            for p in (1, 2):
-                assert tau_p_at(dist, p, w, x_n) == pytest.approx(tau_p(dist, p, w), rel=1e-12)
+            assert tau_p_at(dist, 2, w, x_n) == pytest.approx(tau_p(dist, 2, w), rel=1e-12)
 
     def test_endpoint_centering_two_routes(self):
         dist = PowerEndpoint(1.0, 2.0)
         w = TailWindow(10_000, 100, 0)
         x_n = float(dist._y_quantile(1.0 - w.k / w.n))
-        closed = tau_p(dist, 1, w)
+        closed = tau_p(dist, 1, w)[0]
         quad = (w.n / w.k) * m_p_quadrature(dist, 1, x_n)
         assert closed == pytest.approx(quad, rel=1e-8)
 
@@ -442,9 +447,9 @@ class TestThresholdArrays:
 
     def test_scalar_in_float_out(self):
         for dist in (Pareto(1.0), PowerEndpoint(1.5), StretchedTail()):
-            assert type(dist.m_p(2, 0.3)) is float
-            assert type(dist.m_p(2, np.float64(0.3))) is float
-            assert dist.m_p(2, np.array([0.3, 0.4])).shape == (2,)
+            assert type(m_p_value(dist, 2, 0.3)) is float
+            assert type(m_p_value(dist, 2, np.float64(0.3))) is float
+            assert m_p_value(dist, 2, np.array([0.3, 0.4])).shape == (2,)
 
     def test_pareto_array_is_scalar_bit_for_bit(self):
         # the scalar closed form as Pareto reports have always computed it
@@ -452,29 +457,37 @@ class TestThresholdArrays:
         for dist in (Pareto(1.0), Pareto(2.5), Pareto(0.3)):
             for p in (1, 2, 3, 8):
                 scalar = [dist.gamma ** (-p) * math.exp(-dist.gamma * float(x)) for x in xs]
-                assert np.array_equal(dist.m_p(p, xs), scalar)
-                assert [dist.m_p(p, float(x)) for x in xs] == scalar
+                assert np.array_equal(m_p_value(dist, p, xs), scalar)
+                assert [m_p_value(dist, p, float(x)) for x in xs] == scalar
 
     def test_power_array_matches_scalar(self):
         for dist in (PowerEndpoint(1.5), PowerEndpoint(0.3, 10.0), PowerEndpoint(100.0, 1e8)):
             xs = np.linspace(0.0, 0.99, 34) * dist.y_end
             for p in (1, 2, 3, 8):
-                values = dist.m_p(p, xs)
+                values = m_p_value(dist, p, xs)
                 for x, value in zip(xs, values):
-                    assert value == pytest.approx(dist.m_p(p, float(x)), rel=1e-15, abs=0.0)
+                    assert value == pytest.approx(m_p_value(dist, p, float(x)), rel=1e-15, abs=0.0)
 
     def test_centering_array_matches_scalar(self):
         w = TailWindow(2000, 100, 0)
         xs = np.linspace(1.6, 1.9, 32)
-        for dist in (Pareto(1.0), StretchedTail()):
-            for p in (1, 2, 3):
-                values = tau_p_at(dist, p, w, xs)
-                for x, value in zip(xs, values):
-                    assert value == pytest.approx(tau_p_at(dist, p, w, float(x)), rel=1e-15, abs=0.0)
+        for dist in (Pareto(1.0), StretchedTail(), PowerEndpoint(1.5, 10.0)):
+            ladder = tau_p_at(dist, 8, w, xs)
+            assert ladder.shape == (32, 8)
+            for x, row in zip(xs, ladder):
+                assert row == pytest.approx(tau_p_at(dist, 8, w, float(x)), rel=1e-15, abs=0.0)
+            # column p-1 of the ladder is order p on its own; StretchedTail's
+            # ladder starts its recurrence deeper for the lower orders
+            for p in range(1, 9):
+                single = (w.n / w.k) * m_p_value(dist, p, xs)
+                if isinstance(dist, StretchedTail):
+                    assert ladder[:, p - 1] == pytest.approx(single, rel=1e-14, abs=0.0)
+                else:
+                    assert np.array_equal(ladder[:, p - 1], single)
 
     def test_stretched_matches_reference(self):
         for p in range(1, 31):
-            values = StretchedTail().m_p(p, np.array(self.XS))
+            values = m_p_value(StretchedTail(), p, np.array(self.XS))
             for x, value in zip(self.XS, values):
                 expected = stretched_m_p_reference(p, x)
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0), (p, x)
@@ -482,8 +495,9 @@ class TestThresholdArrays:
     def test_stretched_recurrence_needs_no_quadrature(self, quadrature_calls):
         xs = np.linspace(1.5, 6.0, 91)
         for p in range(1, 9):
-            StretchedTail().m_p(p, xs)
-            StretchedTail().m_p(p, float(xs[0]))
+            m_p_value(StretchedTail(), p, xs)
+            m_p_value(StretchedTail(), p, float(xs[0]))
+        tau_p_at(StretchedTail(), 8, TailWindow(2000, 100, 0), xs)
         assert quadrature_calls == []
 
     def test_fallback_elements_equal_quadrature(self, quadrature_calls):
@@ -496,17 +510,30 @@ class TestThresholdArrays:
         ]
         for dist, p, xs, fallbacks in cases:
             quadrature_calls.clear()
-            values = dist.m_p(p, xs)
+            values = m_p_value(dist, p, xs)
             assert [x for _, _, x in quadrature_calls] == list(xs[:fallbacks])
             for x, value in zip(xs[:fallbacks], values):
                 assert value == m_p_quadrature(dist, p, float(x))
+        # a ladder calls the quadrature at exactly the (threshold, order)
+        # elements whose check fails, and only there
+        w = TailWindow(2000, 100, 0)
+        for dist, xs in [(power, cases[0][2]), (StretchedTail(), np.array([0.0, 0.5, 1.2, 1.4, 2.15]))]:
+            _, ok = dist._m_route(4, xs)
+            failing = [(float(xs[i]), p + 1) for i, p in zip(*np.nonzero(~ok))]
+            assert 0 < len(failing) < ok.size
+            quadrature_calls.clear()
+            ladder = tau_p_at(dist, 4, w, xs)
+            assert [(x, p) for _, p, x in quadrature_calls] == failing
+            for x, p in failing:
+                value = ladder[list(xs).index(x), p - 1]
+                assert value == (w.n / w.k) * m_p_quadrature(dist, p, x)
 
     def test_unformable_rule_falls_back(self, quadrature_calls):
         # scipy cannot form the Jacobi rule at gamma = 1e300, so every
         # element takes the quadrature
         power = PowerEndpoint(1e300)
         xs = np.array([0.0, 0.5]) * power.y_end
-        values = power.m_p(1, xs)
+        values = m_p_value(power, 1, xs)
         assert [x for _, _, x in quadrature_calls] == list(xs)
         assert list(values) == [m_p_quadrature(power, 1, float(x)) for x in xs]
 
@@ -514,4 +541,4 @@ class TestThresholdArrays:
         for dist in (Pareto(1.0), PowerEndpoint(1.5), StretchedTail()):
             for bad in (-0.1, math.nan, dist.y_end, math.inf):
                 with pytest.raises(DomainError):
-                    dist.m_p(1, np.array([0.2, bad, 0.3]))
+                    m_p_value(dist, 1, np.array([0.2, bad, 0.3]))

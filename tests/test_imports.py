@@ -11,7 +11,7 @@ import sys
 import textwrap
 
 import tailsum
-from tailsum import StretchedTail
+from tailsum import StretchedTail, m_p_value
 from tailsum.cli import EXIT_OK, main
 from test_cli import strip_timestamp
 
@@ -99,10 +99,10 @@ THREADS = """
 
 QUAD = """
     import json, sys
-    from tailsum import StretchedTail
+    from tailsum import StretchedTail, m_p_value
 
     before = "scipy.integrate" in sys.modules
-    value = StretchedTail().m_p(2, 0.5)
+    value = m_p_value(StretchedTail(), 2, 0.5)
     print(json.dumps([before, "scipy.integrate" in sys.modules, value.hex()]))
 """
 
@@ -127,7 +127,7 @@ def test_first_use_from_worker_threads_and_quad(tmp_path, capsys):
     for name, args in MC_LIGHT.items():
         assert main(["mc", *args, "--workers", "1"]) == EXIT_OK
         expected[name] = strip_timestamp(capsys.readouterr().out)
-    quad_value = StretchedTail().m_p(2, 0.5)
+    quad_value = m_p_value(StretchedTail(), 2, 0.5)
 
     # two workers write the single-worker bytes; the deterministic centering
     # imports scipy.special on the main thread, and on the k = 230 run every

@@ -235,7 +235,7 @@ class TestRunExperiment:
             Pareto(1.0), 3000, 1000, 0, 1, 5000, 17, centering="fixed"
         )
         window = TailWindow(3000, 1000, 0)
-        taus = [tau_p(Pareto(1.0), 1, window)]
+        taus = tau_p(Pareto(1.0), 1, window)
         z = replication_block(config, taus, 0, 5000)[:, 0]
         kurt = float(((z - z.mean()) ** 4).mean() / z.var() ** 2)
         assert abs(kurt - 3.0) <= 0.3
@@ -244,7 +244,7 @@ class TestRunExperiment:
         config = ExperimentConfig(Pareto(1.0), 800, 60, 0, 2, 50, 23, centering="fixed")
         report = run_experiment(config)
         window = TailWindow(800, 60, 0)
-        taus = [tau_p(Pareto(1.0), p, window) for p in (1, 2)]
+        taus = tau_p(Pareto(1.0), 2, window)
         z = replication_block(config, taus, 0, 50)
         assert report.variance(1) == pytest.approx(float(z[:, 0].var(ddof=1)))
         assert report.variance(2) == pytest.approx(float(z[:, 1].var(ddof=1)))
@@ -265,7 +265,7 @@ class TestRunExperiment:
         n, k, pmax, reps, seed = 3000, 150, 3, BLOCK + 7, 29
         config = ExperimentConfig(dist, n, k, l, pmax, reps, seed, centering=centering)
         window = TailWindow(n, k, l)
-        taus = [tau_p(dist, p, window) for p in range(1, pmax + 1)]
+        taus = tau_p(dist, pmax, window)
         rows = []
         for rep in range(reps):
             if isinstance(dist, Pareto):
@@ -275,9 +275,7 @@ class TestRunExperiment:
                 sample = SortedSample(sample_top_renyi(dist, rep_seed(seed, rep), n, k))
                 ladder = sum_product_ladder(sample, TailWindow(k + 1, k, l), pmax)
             threshold = float(sample.values[-k - 1])
-            center = taus if centering == "fixed" else [
-                tau_p_at(dist, p, window, threshold) for p in range(1, pmax + 1)
-            ]
+            center = taus if centering == "fixed" else tau_p_at(dist, pmax, window, threshold)
             rows.append(
                 [math.sqrt(k) * (t - c) / tau for t, c, tau in zip(ladder, center, taus)]
             )
@@ -289,7 +287,7 @@ class TestRunExperiment:
 
     def test_blocks_depend_on_replication_index_only(self):
         config = ExperimentConfig(Pareto(1.0), 1000, 50, 0, 2, 40, 9, centering="random")
-        taus = [tau_p(Pareto(1.0), p, TailWindow(1000, 50, 0)) for p in (1, 2)]
+        taus = tau_p(Pareto(1.0), 2, TailWindow(1000, 50, 0))
         whole = replication_block(config, taus, 0, 40)
         parts = np.vstack([replication_block(config, taus, lo, lo + 8) for lo in range(0, 40, 8)])
         assert np.array_equal(whole, parts)
