@@ -3,8 +3,9 @@
 Subcommands: estimate, tables, covariance, mc, oracle.  Every report embeds
 a run manifest (command, every parsed argument but --output and --workers,
 seed, version, timestamp) so results can be reproduced from the output file
-alone.  Reports are strict JSON: a NaN or infinity fails the command with
-an error that names the first such field.
+alone; mc reports are byte-identical across --workers, which selects
+nothing: mc chooses its threads.  Reports are strict JSON: a NaN or
+infinity fails the command with an error that names the first such field.
 
 ``estimate`` reads its input in blocks of whole lines, each converted by
 one ``float()`` pass over its fields into a float64 array; the blocks are
@@ -64,9 +65,8 @@ _FAMILY_ALIASES = {
 
 
 # parsed arguments that are not report parameters: the dispatch fields, the
-# seed (a manifest field of its own), and the output path and worker count,
-# which cannot change a report's bytes; leaving them out is what keeps
-# reports byte-identical across --output and --workers
+# seed (a manifest field of its own), and --output and --workers, which
+# cannot change a report's bytes, so reports are byte-identical across them
 _NOT_PARAMETERS = {"command", "func", "output", "seed", "workers"}
 
 
@@ -188,14 +188,9 @@ def read_observations(path):
 
 
 def _domain_from_args(args):
-    kind = args.domain
-    if kind == "weibull":
-        if args.gamma is None:
-            raise DomainError("--domain weibull requires --gamma")
-        return DomainKind.weibull(args.gamma)
-    if kind == "frechet":
-        return DomainKind.frechet(args.gamma)
-    return DomainKind.gumbel()
+    if args.domain == "weibull" and args.gamma is None:
+        raise DomainError("--domain weibull requires --gamma")
+    return DomainKind(args.domain, args.gamma)
 
 
 def _dist_from_args(args):
@@ -300,6 +295,8 @@ def cmd_covariance(args):
 
 
 def cmd_mc(args):
+    if args.workers < 1:
+        raise DomainError(f"workers must be >= 1, got {args.workers}")
     dist = _dist_from_args(args)
     config = ExperimentConfig(
         dist=dist,
@@ -311,7 +308,7 @@ def cmd_mc(args):
         seed=args.seed,
         centering="fixed" if args.reduced else "random",
     )
-    report = run_experiment(config, workers=args.workers)
+    report = run_experiment(config)
     manifest = _manifest(args)
     _write_report(args.output, "json", manifest, {"report": report.to_dict()})
     return EXIT_OK
@@ -398,7 +395,7 @@ def build_parser():
         action="store_true",
         help="deterministic-threshold centering (reduced model targets)",
     )
-    p_mc.add_argument("--workers", type=int, default=1)
+    p_mc.add_argument("--workers", type=int, default=1, help="must be >= 1; mc picks its threads")
     p_mc.add_argument("--output", default=None)
     p_mc.set_defaults(func=cmd_mc)
 
@@ -420,6 +417,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARAMS
     try:
+        # the gumbel domain and stretched ignore --gamma, but every manifest holds it
+        if getattr(args, "gamma", None) is not None and not (0 < args.gamma < math.inf):
+            raise DomainError(f"--gamma must be finite and > 0 when given, got {args.gamma}")
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

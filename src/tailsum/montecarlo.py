@@ -16,6 +16,7 @@ import hashlib
 import math
 import numbers
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -125,14 +126,20 @@ class ExperimentReport:
         }
 
 
-# replications per block; blocks are fixed by replication index, never by
-# the worker count
+# replications per block; blocks are fixed by replication index, never by CPU count
 BLOCK = 32
 
 
 def _rep_seed(seed, rep):
     digest = hashlib.sha256(f"{seed}:{rep}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _block_sampler(dist):
+    """The top-order-statistic sampler: O(k) ``sample_top_renyi`` for the
+    light tails, so n can be 1e9 or more; O(n) ``sample_top`` for Pareto,
+    until its benchmark gate uses exact standard errors (ROADMAP item 2)."""
+    return sample_top if isinstance(dist, Pareto) else sample_top_renyi
 
 
 def replication_block(config, tau_fixed, lo, hi):
@@ -146,17 +153,12 @@ def replication_block(config, tau_fixed, lo, hi):
     fixed centering or the centering values at that sample's own threshold
     Y_{n-k,n} under random centering, every order of the block from one
     ``tau_p_at`` call.  Each row depends on its replication index only.
-    PowerEndpoint and StretchedTail draw the top order statistics by
-    ``sample_top_renyi``, in O(k) per replication, so n can be 1e9 or more;
-    Pareto draws them by ``sample_top``, in O(n).
     """
     if not (0 <= lo < hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n, k, pmax = config.n, config.k, config.pmax
     window = TailWindow(n, k, config.l)
-    # Pareto moves to sample_top_renyi once its benchmark gate uses exact
-    # standard errors (ROADMAP item 2)
-    sampler = sample_top if isinstance(config.dist, Pareto) else sample_top_renyi
+    sampler = _block_sampler(config.dist)
     top = np.stack(
         [sampler(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
     )
@@ -172,17 +174,15 @@ def replication_block(config, tau_fixed, lo, hi):
         return math.sqrt(k) * (ladder - center) / tau
 
 
-def run_experiment(config, workers=1):
+def run_experiment(config):
     """
     Run the replicated experiment and aggregate moments.
 
-    Replications run in blocks of ``BLOCK`` consecutive indices, which
-    ``workers`` threads share; each block writes its own rows and the rows
-    are reduced in index order, so the report is bit-identical for any
-    ``workers`` count.
+    Blocks of ``BLOCK`` consecutive replications share one thread per CPU
+    under Pareto's O(n) sampler and run inline otherwise, as threads only
+    slow O(k) blocks.  Each block writes its own rows and the rows are
+    reduced in index order, so the report is bit-identical for any CPU count.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
     window = TailWindow(config.n, config.k, config.l)
     tau_fixed = tau_p(config.dist, config.pmax, window)
     # a zero at order 1 leaves nothing to normalize by; a zero at a higher
@@ -202,12 +202,12 @@ def run_experiment(config, workers=1):
         hi = min(lo + BLOCK, config.reps)
         stats[lo:hi] = replication_block(config, tau_fixed, lo, hi)
 
-    pool_size = min(workers, len(blocks))
-    if pool_size == 1:
+    threads = min(os.cpu_count() or 1, len(blocks))
+    if _block_sampler(config.dist) is not sample_top or threads == 1:
         for lo in blocks:
             fill(lo)
     else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, blocks))
 
     reps = config.reps

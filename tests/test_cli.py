@@ -466,13 +466,36 @@ class TestCovariance:
         assert code == EXIT_OK
         assert len(json.loads(out)["results"]) == 170
 
-    def test_invalid_gamma(self, capsys):
+    def test_invalid_gamma(self, capsys, monkeypatch, tmp_path, datafile):
         code, _, err = run_cli(
             capsys, "covariance", "--domain", "weibull", "--gamma", "-2", "--pmax", "2"
         )
         assert code == EXIT_PARAMS
         code, _, err = run_cli(capsys, "covariance", "--domain", "weibull", "--pmax", "2")
         assert code == EXIT_PARAMS
+
+        # the gumbel domain and stretched ignore --gamma, but it is checked
+        # there too, before any work: no replication runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(montecarlo_mod, "replication_block", refuse)
+        mc = ["mc", "--dist", "stretched", "--n", "1000", "--k", "100", "--pmax", "2",
+              "--reps", "4", "--seed", "1"]
+        path = tmp_path / "report"
+        for argv in (
+            ["estimate", "--input", datafile, "--k", "3", "--domain", "gumbel", "--gamma", "nan"],
+            ["estimate", "--input", datafile, "--k", "3", "--domain", "gumbel", "--gamma", "-2"],
+            ["covariance", "--domain", "gumbel", "--gamma", "inf"],
+            [*mc, "--gamma", "nan"],
+            [*mc, "--gamma", "-1"],
+        ):
+            code, out, err = run_cli(capsys, *argv, "--output", str(path))
+            assert code == EXIT_PARAMS, argv
+            assert err.count("error:") == 1 and err.count("\n") == 1, err
+            assert "--gamma" in err
+            assert out == ""
+            assert not path.exists()
 
 
 class TestMonteCarloCommand:
@@ -558,9 +581,10 @@ class TestMonteCarloCommand:
             assert out == ""
 
     def test_workers_must_be_positive(self, capsys):
-        code, _, err = run_cli(capsys, *self.ARGS, "--workers", "0")
+        code, out, err = run_cli(capsys, *self.ARGS, "--workers", "0")
         assert code == EXIT_PARAMS
-        assert "workers" in err
+        assert err == "error: workers must be >= 1, got 0\n"
+        assert out == ""
 
     def test_rerun_from_manifest(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)

@@ -20,7 +20,8 @@ TIMEOUT_S = 60
 
 MC_SMALL = ["--n", "1000", "--pmax", "3", "--reps", "64", "--seed", "5"]
 # at k = 230 the deterministic threshold passes the recurrence's check but
-# some random ones fall below it, so quad is reached only in pool threads
+# some random ones fall below it, so quad is reached only by replication
+# blocks
 MC_LIGHT = {
     "stretched": ["--dist", "stretched", *MC_SMALL, "--k", "100"],
     "power": ["--dist", "power", "--gamma", "1.5", *MC_SMALL, "--k", "100"],
@@ -77,8 +78,8 @@ FOOTPRINT = """
     print(json.dumps(result))
 """ % {"mc": [*MC_SMALL, "--k", "100"]}
 
-THREADS = """
-    import json, sys, threading
+MC_FRESH = """
+    import json, sys
     import tailsum.cli as cli
     import tailsum.distributions as dist
 
@@ -86,8 +87,7 @@ THREADS = """
     fallbacks = []
 
     def recorded(*args):
-        loaded = "scipy.integrate" in sys.modules
-        fallbacks.append([threading.current_thread() is threading.main_thread(), loaded])
+        fallbacks.append("scipy.integrate" in sys.modules)
         return quadrature(*args)
 
     dist.m_p_quadrature = recorded
@@ -116,31 +116,30 @@ def test_scipy_not_loaded_by_routes_without_it(tmp_path):
     assert len(footprint) == 10
 
 
-def test_first_use_from_worker_threads_and_quad(tmp_path, capsys):
+def test_first_use_in_fresh_interpreters_and_quad(tmp_path, capsys):
     procs = {}
     for name in ("quad", *MC_LIGHT):
         (tmp_path / name).mkdir()
-        script = QUAD if name == "quad" else THREADS % (MC_LIGHT[name],)
+        script = QUAD if name == "quad" else MC_FRESH % (MC_LIGHT[name],)
         procs[name] = _start(script, tmp_path / name)
-    # the single-worker references, computed here while the children run
+    # the references, computed here, where scipy is loaded, while the
+    # children run
     expected = {}
     for name, args in MC_LIGHT.items():
         assert main(["mc", *args, "--workers", "1"]) == EXIT_OK
         expected[name] = strip_timestamp(capsys.readouterr().out)
     quad_value = m_p_value(StretchedTail(), 2, 0.5)
 
-    # two workers write the single-worker bytes; the deterministic centering
-    # imports scipy.special on the main thread, and on the k = 230 run every
-    # quad fallback, the first scipy.integrate import among them, is made in
-    # a pool thread
+    # a fresh interpreter writes this process's bytes; the deterministic
+    # centering imports scipy.special, and on the k = 230 run the first quad
+    # fallback, made by a replication block, imports scipy.integrate
     for name in MC_LIGHT:
         before, code, fallbacks, out = _finish(procs[name])
         assert (before, code) == (False, EXIT_OK)
         assert strip_timestamp(out) == expected[name]
         if name == "stretched-quad":
             assert len(fallbacks) > 1
-            assert fallbacks[0] == [False, False]
-            assert not any(on_main for on_main, _ in fallbacks)
+            assert fallbacks[0] is False
         else:
             assert fallbacks == []
 

@@ -191,9 +191,16 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        # Pareto's blocks share one thread per CPU, so the CPU count sets the
+        # number of threads
+        import tailsum.montecarlo as mc
+
         config = ExperimentConfig(Pareto(1.0), 2000, 100, 0, 2, 48, 11, centering="fixed")
-        reports = [run_experiment(config, workers=w) for w in (1, 2, 8)]
+        reports = []
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+            reports.append(run_experiment(config))
         for other in reports[1:]:
             assert np.array_equal(reports[0].covariance, other.covariance)
             assert np.array_equal(reports[0].means, other.means)
@@ -281,7 +288,7 @@ class TestRunExperiment:
             )
         expected = np.array(rows)
         assert np.allclose(replication_block(config, taus, 0, reps), expected, rtol=0, atol=1e-12)
-        report = run_experiment(config, workers=2)
+        report = run_experiment(config)
         assert np.allclose(report.means, expected.mean(axis=0), rtol=0, atol=1e-12)
         assert np.allclose(report.covariance, np.cov(expected.T), rtol=0, atol=1e-12)
 
@@ -308,18 +315,25 @@ class TestRunExperiment:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         three_blocks = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, 2 * BLOCK + 1, 4)
         one_block = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, BLOCK, 4)
-        reference = run_experiment(three_blocks).to_dict()
-        assert sizes == []  # one worker runs the blocks inline
-        for workers in (2, 10**9):
-            assert run_experiment(three_blocks, workers=workers).to_dict() == reference
-        run_experiment(one_block, workers=10**9)
-        assert sizes == [2, 3]
+        # Pareto: min(cpu, blocks) threads, and none at one CPU (or an
+        # unknown count) or with one block
+        reports = []
+        for cpus, pools in ((1, []), (None, []), (2, [2]), (10**9, [3])):
+            monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            reports.append(run_experiment(three_blocks).to_dict())
+            run_experiment(one_block)
+            assert sizes == pools, cpus
+        assert all(report == reports[0] for report in reports)
 
-    def test_workers_must_be_positive(self):
-        config = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, 4, 4)
-        for workers in (0, -3):
-            with pytest.raises(DomainError):
-                run_experiment(config, workers=workers)
+        # the light tails' O(k) blocks always run inline
+        class RefusedPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a light-tail run started a thread pool")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RefusedPool)
+        for dist in (StretchedTail(), PowerEndpoint(1.5)):
+            run_experiment(ExperimentConfig(dist, 300, 20, 0, 1, 2 * BLOCK + 1, 4))
 
 
 class TestWeibullDomainRun:
