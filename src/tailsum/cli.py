@@ -187,15 +187,11 @@ def read_observations(path):
     return values
 
 
-def _domain_from_args(args):
-    if args.domain == "weibull" and args.gamma is None:
-        raise DomainError("--domain weibull requires --gamma")
-    return DomainKind(args.domain, args.gamma)
-
-
 def _dist_from_args(args):
-    # only PowerEndpoint uses --x0, but it is in every manifest
+    # stretched ignores --gamma and only PowerEndpoint uses --x0, but both are in every manifest
     _check_endpoint(args.x0)
+    if args.gamma is not None and not (0 < args.gamma < math.inf):
+        raise DomainError(f"--gamma must be finite and > 0 when given, got {args.gamma}")
     if args.dist == "pareto":
         return Pareto(args.gamma if args.gamma is not None else 1.0)
     if args.dist == "power":
@@ -206,6 +202,7 @@ def _dist_from_args(args):
 
 
 def cmd_estimate(args):
+    domain = DomainKind(args.domain, args.gamma)
     try:
         raw = read_observations(args.input)
     except OSError as exc:
@@ -217,7 +214,6 @@ def cmd_estimate(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     window = TailWindow(sample.n, args.k, args.l)
-    domain = _domain_from_args(args)
     ladder = sum_product_ladder(sample, window, args.pmax)
     gaps = spacings(sample, window)
     envelopes = [None] * args.pmax
@@ -281,7 +277,7 @@ def cmd_tables(args):
 
 
 def cmd_covariance(args):
-    domain = _domain_from_args(args)
+    domain = DomainKind(args.domain, args.gamma)
     if not (1 <= args.pmax <= 8):
         raise DomainError(f"--pmax must lie in [1, 8], got {args.pmax}")
     model = CovarianceModel.build(domain, args.pmax)
@@ -417,9 +413,6 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_PARAMS
     try:
-        # the gumbel domain and stretched ignore --gamma, but every manifest holds it
-        if getattr(args, "gamma", None) is not None and not (0 < args.gamma < math.inf):
-            raise DomainError(f"--gamma must be finite and > 0 when given, got {args.gamma}")
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

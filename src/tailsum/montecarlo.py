@@ -126,7 +126,7 @@ class ExperimentReport:
         }
 
 
-# replications per block; blocks are fixed by replication index, never by CPU count
+# replications per block; blocks are fixed by replication index, never by thread count
 BLOCK = 32
 
 
@@ -136,10 +136,24 @@ def _rep_seed(seed, rep):
 
 
 def _block_sampler(dist):
-    """The top-order-statistic sampler: O(k) ``sample_top_renyi`` for the
-    light tails, so n can be 1e9 or more; O(n) ``sample_top`` for Pareto,
-    until its benchmark gate uses exact standard errors (ROADMAP item 2)."""
+    """O(k) ``sample_top_renyi`` for the light tails, so n can be 1e9 or more; O(n)
+    ``sample_top`` for Pareto until its gate uses exact standard errors (ROADMAP item 2)."""
     return sample_top if isinstance(dist, Pareto) else sample_top_renyi
+
+
+# the largest pool measured: 2 threads halved Pareto mc's time on 2 CPUs (n = 1e5, 200 reps)
+MAX_THREADS = 2
+
+
+def _pool_size(n, blocks):
+    """Threads for Pareto's blocks (inline below 2): no more than ``MAX_THREADS``, the blocks,
+    this process's CPUs, or the ``sample_top`` calls whose 8n bytes fit in free memory."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 1
+    return min(MAX_THREADS, blocks, cpus, free // (8 * n))
 
 
 def replication_block(config, tau_fixed, lo, hi):
@@ -178,10 +192,9 @@ def run_experiment(config):
     """
     Run the replicated experiment and aggregate moments.
 
-    Blocks of ``BLOCK`` consecutive replications share one thread per CPU
-    under Pareto's O(n) sampler and run inline otherwise, as threads only
-    slow O(k) blocks.  Each block writes its own rows and the rows are
-    reduced in index order, so the report is bit-identical for any CPU count.
+    Blocks of ``BLOCK`` consecutive replications share ``_pool_size`` threads under Pareto's
+    O(n) sampler and run inline otherwise, as threads only slow O(k) blocks.  Each block
+    writes its own rows, reduced in index order, so the report is bit-identical for any pool.
     """
     window = TailWindow(config.n, config.k, config.l)
     tau_fixed = tau_p(config.dist, config.pmax, window)
@@ -202,8 +215,8 @@ def run_experiment(config):
         hi = min(lo + BLOCK, config.reps)
         stats[lo:hi] = replication_block(config, tau_fixed, lo, hi)
 
-    threads = min(os.cpu_count() or 1, len(blocks))
-    if _block_sampler(config.dist) is not sample_top or threads == 1:
+    threads = _pool_size(config.n, len(blocks))
+    if _block_sampler(config.dist) is not sample_top or threads < 2:
         for lo in blocks:
             fill(lo)
     else:

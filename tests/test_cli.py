@@ -493,7 +493,7 @@ class TestCovariance:
             code, out, err = run_cli(capsys, *argv, "--output", str(path))
             assert code == EXIT_PARAMS, argv
             assert err.count("error:") == 1 and err.count("\n") == 1, err
-            assert "--gamma" in err
+            assert "gamma" in err
             assert out == ""
             assert not path.exists()
 

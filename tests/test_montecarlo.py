@@ -192,14 +192,15 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_deterministic_across_workers(self, monkeypatch):
-        # Pareto's blocks share one thread per CPU, so the CPU count sets the
-        # number of threads
+        # Pareto's blocks share up to one thread per CPU, so the CPU count
+        # sets the number of threads
         import tailsum.montecarlo as mc
 
         config = ExperimentConfig(Pareto(1.0), 2000, 100, 0, 2, 48, 11, centering="fixed")
+        monkeypatch.setattr(mc, "MAX_THREADS", 8)
         reports = []
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
             reports.append(run_experiment(config))
         for other in reports[1:]:
             assert np.array_equal(reports[0].covariance, other.covariance)
@@ -315,15 +316,37 @@ class TestRunExperiment:
         monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
         three_blocks = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, 2 * BLOCK + 1, 4)
         one_block = ExperimentConfig(Pareto(1.0), 300, 20, 0, 1, BLOCK, 4)
-        # Pareto: min(cpu, blocks) threads, and none at one CPU (or an
-        # unknown count) or with one block
+        # Pareto: as many threads as MAX_THREADS, the blocks, the usable CPUs
+        # and the 8n-byte samples that fit in free memory allow; none below 2,
+        # so none with one block
+        sample = 8 * 300
         reports = []
-        for cpus, pools in ((1, []), (None, []), (2, [2]), (10**9, [3])):
-            monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        for cap, cpus, free, pools in (
+            (2, 1, 10**9, []),
+            (2, 2, 10**9, [2]),
+            (2, 64, 10**9, [2]),
+            (8, 64, 10**9, [3]),
+            (8, 64, 2 * sample - 1, []),
+            (8, 64, 2 * sample, [2]),
+            (8, 64, 0, []),
+        ):
+            monkeypatch.setattr(mc, "MAX_THREADS", cap)
+            monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            monkeypatch.setattr(mc.os, "sysconf", {"SC_AVPHYS_PAGES": free, "SC_PAGE_SIZE": 1}.get)
             sizes.clear()
             reports.append(run_experiment(three_blocks).to_dict())
             run_experiment(one_block)
-            assert sizes == pools, cpus
+            assert sizes == pools, (cap, cpus, free)
+
+        # inline where the platform tells neither the CPUs nor the free memory
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(mc.os, "sysconf", unknown)
+        reports.append(run_experiment(three_blocks).to_dict())
+        monkeypatch.delattr(mc.os, "sched_getaffinity")
+        reports.append(run_experiment(three_blocks).to_dict())
+        assert sizes == []
         assert all(report == reports[0] for report in reports)
 
         # the light tails' O(k) blocks always run inline
