@@ -36,7 +36,6 @@ from .estimators import (
     TailWindow,
     index_estimate,
     log_transform,
-    spacings,
     sum_product_ladder,
 )
 from .limits import CovarianceModel, DomainKind
@@ -215,7 +214,6 @@ def cmd_estimate(args):
         return EXIT_PARSE
     window = TailWindow(sample.n, args.k, args.l)
     ladder = sum_product_ladder(sample, window, args.pmax)
-    gaps = spacings(sample, window)
     envelopes = [None] * args.pmax
     if args.k >= 3:
         envelopes = CovarianceModel.build(domain, args.pmax).lil_envelopes(args.k, sample.n)
@@ -236,7 +234,11 @@ def cmd_estimate(args):
     payload = {
         "n": sample.n,
         "below_support": sample.below_support,
-        "degenerate_window": gaps.is_degenerate,
+        # every spacing in the window is zero exactly when its two ends tie;
+        # a zero statistic is no test, since subnormal spacings underflow
+        "degenerate_window": bool(
+            sample.values[sample.n - 1 - args.l] == sample.values[sample.n - 1 - args.k]
+        ),
         "results": statistics,
     }
     rows = [["p", "statistic", "index_estimate", "lil_envelope"]] + [

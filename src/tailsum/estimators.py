@@ -2,15 +2,17 @@
 
 The order-p statistic averages, over all ordered compositions of p and all
 strictly decreasing index chains inside a tail window, weighted products of
-powers of the log-spacings.  Two independent algorithms are provided: a
-brute-force enumeration over chains (``sum_product_enum``) and a closed
-form over the top order statistics (``sum_product``), together with
-the classical Hill statistic and the moment form available when l = 0.
+powers of the log-spacings.  One closed form over the top order statistics
+(``sum_product``, ``sum_product_ladder``) computes it; a brute-force
+enumeration over chains (``sum_product_enum``) is the independent oracle it
+is checked against.  Hill's statistic (p = 1) and the moment form of Dekkers,
+Einmahl and de Haan (l = 0) are margins of this one ladder, not separate
+formulas.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -21,14 +23,11 @@ from .errors import DomainError, EnumerationBudgetError, UndefinedEstimateError
 __all__ = [
     "SortedSample",
     "TailWindow",
-    "SpacingSet",
     "log_transform",
     "spacings",
-    "hill",
     "sum_product",
     "sum_product_enum",
     "sum_product_ladder",
-    "tail_moment",
     "index_estimate",
     "tail_index",
 ]
@@ -84,28 +83,6 @@ class TailWindow:
             raise DomainError(f"window n={self.n} does not match sample size {sample.n}")
 
 
-@dataclass(frozen=True)
-class SpacingSet:
-    """Consecutive top-spacing differences D_i for i = first_index .. last."""
-
-    first_index: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if np.any(vals < 0):
-            raise DomainError("spacings cannot be negative")
-
-    @property
-    def is_degenerate(self):
-        """True when every spacing in the window is zero (all ties)."""
-        return bool(np.all(self.values == 0.0))
-
-    def value(self, i):
-        return float(self.values[i - self.first_index])
-
-
 def log_transform(raw):
     """
     Natural logs of positive raw observations, sorted ascending.
@@ -125,21 +102,11 @@ def log_transform(raw):
 
 
 def spacings(sample, window):
-    """Spacing vector D_i = Y_{n-i+1,n} - Y_{n-i,n} for i = l+1 .. k."""
+    """Spacings D_i = Y_{n-i+1,n} - Y_{n-i,n} for i = l+1 .. k, as a float
+    array holding D_i at index i - l - 1."""
     window.check(sample)
     n, k, l = window.n, window.k, window.l
-    seg = sample.values[n - k - 1 : n - l]
-    return SpacingSet(first_index=l + 1, values=np.diff(seg)[::-1].copy())
-
-
-def hill(sample, window):
-    """
-    Hill's statistic (1/k) * sum_{j=l+1..k} j * D_j, accumulated with
-    compensated summation.
-    """
-    d = spacings(sample, window)
-    idx = np.arange(window.l + 1, window.k + 1, dtype=float)
-    return math.fsum(idx * d.values) / window.k
+    return np.diff(sample.values[n - k - 1 : n - l])[::-1]
 
 
 def _check_ladder_range(k, pmax):
@@ -188,13 +155,16 @@ def sum_product(sample, window, p):
     window : TailWindow
         Which upper order statistics enter the statistic.
     p : int
-        Order of the statistic; p = 1 recovers Hill's statistic.
+        Order of the statistic.  Hill's statistic is
+        ``sum_product(sample, window, 1)``, (1/k) sum_{j=l+1..k} j D_j; at
+        l = 0 the order-p value is the moment form
+        (1/k) sum_{i=1..k} (Y_{n-i+1,n} - Y_{n-k,n})^p / p!.
 
     Returns
     -------
     float
-        The statistic value; non-negative, and zero exactly when every
-        spacing in the window is zero.
+        The statistic value; non-negative, and zero when every spacing in
+        the window is zero (also, by underflow, when all are subnormal).
     """
     return sum_product_ladder(sample, window, p)[p - 1]
 
@@ -228,7 +198,7 @@ def sum_product_enum(sample, window, p):
             "use sum_product for large windows"
         )
     # pw[s][i-(l+1)] = D_i^s / s!
-    pw = [None] + [d.values**s / math.factorial(s) for s in range(1, p + 1)]
+    pw = [None] + [d**s / math.factorial(s) for s in range(1, p + 1)]
 
     def terms():
         for h in range(1, p + 1):
@@ -241,23 +211,6 @@ def sum_product_enum(sample, window, p):
                     yield prod
 
     return math.fsum(terms()) / k
-
-
-def tail_moment(sample, window, p):
-    """
-    Moment form (1/k) sum_{i=1..k} (Y_{n-i+1,n} - Y_{n-k,n})^p / p!,
-    defined for l = 0 windows only, where it coincides with the order-p
-    sum-product statistic.
-    """
-    window.check(sample)
-    if window.l != 0:
-        raise DomainError("the moment form requires l = 0")
-    if p < 1:
-        raise DomainError(f"order must be >= 1, got {p}")
-    n, k = window.n, window.k
-    y = sample.values
-    excess = y[n - k :] - y[n - k - 1]
-    return math.fsum(excess**p) / (k * math.factorial(p))
 
 
 def index_estimate(t, p):

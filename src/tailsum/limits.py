@@ -150,12 +150,11 @@ class CovarianceModel:
     """Evaluated limit model up to a maximal order.
 
     ``sigma`` holds the full symmetric covariance matrix under random
-    centering; ``sigma2`` its diagonal; ``e`` the shift coefficients.
+    centering; ``e`` the shift coefficients.
     """
 
     domain: DomainKind
     pmax: int
-    sigma2: tuple
     sigma: np.ndarray
     e: tuple
 
@@ -174,7 +173,7 @@ class CovarianceModel:
             column = [f * covariance_closed(r, rho) for r, f in enumerate(factors, start=1)]
             sig[rho - 1, :rho] = sig[:rho, rho - 1] = column
         e = tuple(shift_factor(p, domain) for p in range(1, pmax + 1))
-        model = cls(domain, pmax, tuple(np.diag(sig)), sig, e)
+        model = cls(domain, pmax, sig, e)
         model._validate()
         return model
 

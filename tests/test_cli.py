@@ -181,6 +181,28 @@ class TestEstimate:
         assert rows[0] == ["p", "statistic", "index_estimate", "lil_envelope"]
         assert float(rows[1][1]) == pytest.approx(2 * C, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "lines,window,degenerate",
+        [
+            ("1 2 3 7 7 7 7", ["--k", "3"], True),
+            ("1 2 3 7 7 7 7", ["--k", "3", "--l", "1"], True),
+            ("1 2 3 7 7 7 7", ["--k", "5", "--l", "3"], False),
+            # the ties sit below the window
+            ("1 1 1 2 3 4 5", ["--k", "5"], False),
+        ],
+    )
+    def test_degenerate_window(self, capsys, tmp_path, lines, window, degenerate):
+        path = tmp_path / "tied.txt"
+        path.write_text("".join(f"{x}\n" for x in lines.split()))
+        code, out, _ = run_cli(capsys, "estimate", "--input", str(path), *window)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["degenerate_window"] is degenerate
+        if degenerate:
+            for entry in payload["results"]:
+                assert entry["statistic"] == 0.0
+                assert entry["index_estimate"] is None
+
     def test_round_trip_with_sampler(self, capsys, tmp_path):
         sample = sample_iid(Pareto(1.0), 2024, 200)
         raw = np.exp(sample.values)

@@ -11,7 +11,6 @@ from tailsum import (
     SortedSample,
     TailWindow,
     UndefinedEstimateError,
-    hill,
     index_estimate,
     log_transform,
     spacings,
@@ -19,7 +18,6 @@ from tailsum import (
     sum_product_enum,
     sum_product_ladder,
     tail_index,
-    tail_moment,
 )
 
 C = math.log(2.0)
@@ -91,39 +89,50 @@ class TestWindowAndSpacings:
     def test_basic_spacings(self):
         s = SortedSample(np.array([0.0, 1.0, 3.0, 6.0]))
         d = spacings(s, TailWindow(4, 2, 0))
-        assert d.value(1) == 3.0
-        assert d.value(2) == 2.0
+        # D_i sits at index i - l - 1
+        assert d[0] == 3.0
+        assert d[1] == 2.0
 
     def test_constant_sample_is_degenerate(self):
         s = SortedSample(np.ones(6))
         d = spacings(s, TailWindow(6, 4, 0))
-        assert d.is_degenerate
-        assert np.all(d.values == 0.0)
+        assert np.all(d == 0.0)
 
     def test_full_window_length(self):
         s = SortedSample(np.sort(np.random.default_rng(0).random(9)))
         d = spacings(s, TailWindow(9, 8, 0))
-        assert d.values.size == 8
+        assert d.size == 8
+
+
+def spacing_weighted_hill(s, w):
+    """Hill's statistic in its spacing-weighted form (1/k) sum_{j=l+1..k} j D_j."""
+    j = np.arange(w.l + 1, w.k + 1)
+    return float(np.sum(j * spacings(s, w))) / w.k
 
 
 class TestHill:
+    # Hill's statistic is the order-1 sum-product statistic
     def test_equal_spacing(self, equal_spacing):
         s, w = equal_spacing
-        assert hill(s, w) == pytest.approx(2 * C, abs=1e-15)
+        assert sum_product(s, w, 1) == pytest.approx(2 * C, abs=1e-15)
+        assert sum_product_enum(s, w, 1) == pytest.approx(2 * C, abs=1e-15)
 
     def test_arithmetic_sample(self):
-        s = SortedSample(np.arange(10.0))
-        assert hill(s, TailWindow(10, 3, 0)) == pytest.approx(2.0, abs=1e-15)
+        s, w = SortedSample(np.arange(10.0)), TailWindow(10, 3, 0)
+        assert sum_product(s, w, 1) == pytest.approx(2.0, abs=1e-15)
+        assert sum_product_enum(s, w, 1) == pytest.approx(2.0, abs=1e-15)
 
     def test_positive_l_drops_low_terms(self):
-        s = SortedSample(np.arange(10.0))
+        s, w = SortedSample(np.arange(10.0)), TailWindow(10, 3, 1)
         # l=1 drops the j=1 term: (2 + 3)/3
-        assert hill(s, TailWindow(10, 3, 1)) == pytest.approx(5.0 / 3.0, abs=1e-15)
+        assert sum_product(s, w, 1) == pytest.approx(5.0 / 3.0, abs=1e-15)
+        assert sum_product_enum(s, w, 1) == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_order_one_statistic_is_hill(self, equal_spacing):
         s, w = equal_spacing
-        assert sum_product(s, w, 1) == pytest.approx(hill(s, w), abs=1e-15)
-        assert sum_product_enum(s, w, 1) == pytest.approx(hill(s, w), abs=1e-15)
+        hill = spacing_weighted_hill(s, w)
+        assert sum_product(s, w, 1) == pytest.approx(hill, abs=1e-15)
+        assert sum_product_enum(s, w, 1) == pytest.approx(hill, abs=1e-15)
 
 
 class TestSumProduct:
@@ -132,7 +141,6 @@ class TestSumProduct:
         expected = 7 * C * C / 3
         assert sum_product(s, w, 2) == pytest.approx(expected, rel=1e-14)
         assert sum_product_enum(s, w, 2) == pytest.approx(expected, rel=1e-14)
-        assert tail_moment(s, w, 2) == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_order(self, equal_spacing):
         s, w = equal_spacing
@@ -150,26 +158,13 @@ class TestSumProduct:
             fast = sum_product(s, w, p)
             naive = sum_product_enum(s, w, p)
             assert abs(fast - naive) <= 1e-10 * max(1.0, abs(fast))
-            if w.l == 0:
-                moment = tail_moment(s, w, p)
-                assert abs(fast - moment) <= 1e-10 * max(1.0, abs(fast))
-
-    def test_moment_form_requires_l_zero(self):
-        s = SortedSample(np.arange(6.0))
-        with pytest.raises(DomainError):
-            tail_moment(s, TailWindow(6, 4, 1), 2)
-
-    def test_moment_form_order_one_is_hill(self):
-        rng = np.random.default_rng(5)
-        s, w = random_case(rng, force_l0=True)
-        assert tail_moment(s, w, 1) == pytest.approx(hill(s, w), rel=1e-12)
 
     def test_constant_sample_gives_zero(self):
         s = SortedSample(np.ones(8))
         w = TailWindow(8, 5, 0)
         for p in (1, 2, 3):
             assert sum_product(s, w, p) == 0.0
-            assert tail_moment(s, w, p) == 0.0
+            assert sum_product_enum(s, w, p) == 0.0
 
     def test_enumeration_budget(self):
         y = np.sort(np.random.default_rng(2).exponential(size=150))
@@ -207,7 +202,7 @@ class TestSumProduct:
         for p in (1, 2, 4):
             t = sum_product(s, w, p)
             assert t >= 0.0
-            assert (t == 0.0) == spacings(s, w).is_degenerate
+            assert (t == 0.0) == np.all(spacings(s, w) == 0.0)
 
 
 class TestLadder:

@@ -165,7 +165,7 @@ class TestModel:
     def test_build_shapes(self):
         model = CovarianceModel.build(FRECHET, 4)
         assert model.sigma.shape == (4, 4)
-        assert model.sigma2 == (2.0, 6.0, 20.0, 70.0)
+        assert tuple(np.diag(model.sigma)) == (2.0, 6.0, 20.0, 70.0)
         assert model.e == (1.0, 1.0, 1.0, 1.0)
         assert np.allclose(model.sigma, model.sigma.T)
 

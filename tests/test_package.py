@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import tailsum
 from tailsum import combinatorics, distributions, errors, estimators, limits, montecarlo
 
 MODULES = (combinatorics, distributions, errors, estimators, limits, montecarlo)
 
 # the package exports as they were listed by hand in the package itself,
-# less ``Tolerances``, which became module constants
+# less ``Tolerances``, which became module constants, and ``hill``,
+# ``tail_moment`` and ``SpacingSet``, whose values the ladder and the plain
+# spacing array give
 HAND_LISTED = [
     "__version__",
     "Composition", "NumberTable", "compositions", "covariance_number",
@@ -13,9 +17,9 @@ HAND_LISTED = [
     "quantile", "sample_iid", "sample_top", "tau_p", "tau_p_at",
     "DomainError", "EnumerationBudgetError", "NonFiniteReportError", "ParseError",
     "UndefinedEstimateError",
-    "SortedSample", "SpacingSet", "TailWindow", "hill", "index_estimate",
-    "log_transform", "spacings", "sum_product", "sum_product_enum",
-    "sum_product_ladder", "tail_index", "tail_moment",
+    "SortedSample", "TailWindow", "index_estimate", "log_transform",
+    "spacings", "sum_product", "sum_product_enum", "sum_product_ladder",
+    "tail_index",
     "CovarianceModel", "DomainKind", "covariance", "covariance_closed",
     "covariance_factor", "lil_envelope", "reduced_covariance", "shift_factor",
     "ExperimentConfig", "ExperimentReport", "QuadratureConfig",
@@ -44,3 +48,12 @@ def test_hand_listed_names_still_exported():
     namespace = {}
     exec("from tailsum import *", namespace)
     assert set(HAND_LISTED) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert abs(namespace["gamma"] - 2.0) <= 0.05
