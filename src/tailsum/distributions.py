@@ -11,8 +11,9 @@ its result is the top of ``sample_iid``'s bit for bit, in O(n) per sample;
 of the top k+1 order statistics directly, by Renyi's representation, from
 k+1 exponentials and one Gamma(n-k) variate on a stream of its own, and
 maps them through each family's tail quantile: O(k) per sample whatever
-n, with the law of ``sample_top`` but not its values.  ``mc`` uses it for
-PowerEndpoint and StretchedTail, and ``sample_top`` is its reference.
+n, with the law of ``sample_top`` but not its values.  ``mc`` draws it for
+PowerEndpoint and StretchedTail a block of seeds at a time, with the same
+values, and ``sample_top`` is its reference.
 
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  m_p is the p-fold iterated integral of the log-scale
@@ -279,11 +280,14 @@ def quantile(dist, u):
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
 
-def _philox(label, seed):
+def _philox_key(label, seed):
     digest = hashlib.sha256(f"{label}:{seed}".encode()).digest()
     # little-endian on every host, so the stream does not depend on byte order
-    key = np.frombuffer(digest[:16], dtype="<u8")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.frombuffer(digest[:16], dtype="<u8")
+
+
+def _philox(label, seed):
+    return np.random.Generator(np.random.Philox(key=_philox_key(label, seed)))
 
 
 def sample_iid(dist, seed, n):
@@ -340,14 +344,54 @@ def sample_top_renyi(dist, seed, n, k):
     own label, never shared with ``sample_iid``, draws the k+1 exponentials
     and then G; the family's tail quantile y = G-bar^(-1)(q) maps the q_j,
     which descend in y, and reversing them sorts the result.  It has the
-    law of ``sample_top(dist, seed, n, k)``, not its values.
+    law of ``sample_top(dist, seed, n, k)``, not its values.  It is the
+    one-seed case of the block sampler ``mc`` uses, so its values are
+    those of ``mc``'s replication keyed by ``seed``.
+    """
+    return _top_renyi_rows(dist, [seed], n, k)[0]
+
+
+def _top_renyi_rows(dist, seeds, n, k):
+    """
+    ``sample_top_renyi`` of each seed in turn, one row per seed, as a
+    C-contiguous (len(seeds), k+1) array.
+
+    One Philox bit generator serves the whole call.  Before each row its
+    state is set to the row's key with counter 0 and an empty buffer, which
+    is the state of a generator built afresh from that key, at a fraction of
+    the cost (building one also draws OS entropy for a seed sequence that a
+    given key makes useless).  The k+1 exponentials go straight into the
+    row, and G is kept aside.  The partial sums and the division, in place,
+    then the tail quantile and the reversal run once on the whole array;
+    each is elementwise or runs along a row, so every row equals the
+    one-seed result bit for bit and depends on its own seed only.  The
+    generator is local to the call, so calls on several threads share no
+    state.
     """
     if not (0 < k < n):
         raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
-    rng = _philox("top", seed)
-    sums = np.cumsum(rng.standard_exponential(k + 1))
-    q = sums / (sums[-1] + rng.standard_gamma(n - k))
-    return dist._y_tail_quantile(q)[::-1]
+    rows = np.empty((len(seeds), k + 1))
+    gammas = np.empty(len(seeds))
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for i, seed in enumerate(seeds):
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": _philox_key("top", seed)},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rng.standard_exponential(out=rows[i])
+        gammas[i] = rng.standard_gamma(n - k)
+    np.cumsum(rows, axis=1, out=rows)
+    rows /= (rows[:, -1] + gammas)[:, None]
+    # the ascending values go back into the survival values' array, which
+    # keeps the result C-contiguous at no new allocation
+    rows[...] = dist._y_tail_quantile(rows)[:, ::-1]
+    return rows
 
 
 _QUAD_RTOL = 1e-10

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import covariance_number
-from .distributions import Pareto, sample_top, sample_top_renyi, tau_p, tau_p_at
+from .distributions import Pareto, _top_renyi_rows, sample_top, tau_p, tau_p_at
 from .errors import DomainError
 from .estimators import TailWindow, _check_ladder_range, _ladder_values
 from .limits import CovarianceModel, covariance_closed
@@ -135,10 +135,16 @@ def _rep_seed(seed, rep):
     return int.from_bytes(digest[:8], "big")
 
 
+def _sample_top_rows(dist, seeds, n, k):
+    return np.stack([sample_top(dist, seed, n, k) for seed in seeds])
+
+
 def _block_sampler(dist):
-    """O(k) ``sample_top_renyi`` for the light tails, so n can be 1e9 or more; O(n)
-    ``sample_top`` for Pareto until its gate uses exact standard errors (ROADMAP item 2)."""
-    return sample_top if isinstance(dist, Pareto) else sample_top_renyi
+    """The rows sampler ``(dist, seeds, n, k) -> (len(seeds), k+1) array`` of a block.  The
+    light tails take the O(k) ``sample_top_renyi`` rows, drawn from one re-keyed generator
+    and mapped in one call, so n can be 1e9 or more; Pareto takes a stack of O(n)
+    ``sample_top`` calls until its gate uses exact standard errors (ROADMAP item 2)."""
+    return _sample_top_rows if isinstance(dist, Pareto) else _top_renyi_rows
 
 
 # the largest pool measured: 2 threads halved Pareto mc's time on 2 CPUs (n = 1e5, 200 reps)
@@ -166,16 +172,16 @@ def replication_block(config, tau_fixed, lo, hi):
     sample keyed by replication lo+i, and the center is ``tau_fixed`` under
     fixed centering or the centering values at that sample's own threshold
     Y_{n-k,n} under random centering, every order of the block from one
-    ``tau_p_at`` call.  Each row depends on its replication index only.
+    ``tau_p_at`` call.  One sampler call draws the block's top order
+    statistics (see ``_block_sampler``).  Each row depends on its
+    replication index only.
     """
     if not (0 <= lo < hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
     n, k, pmax = config.n, config.k, config.pmax
     window = TailWindow(n, k, config.l)
-    sampler = _block_sampler(config.dist)
-    top = np.stack(
-        [sampler(config.dist, _rep_seed(config.seed, rep), n, k) for rep in range(lo, hi)]
-    )
+    seeds = [_rep_seed(config.seed, rep) for rep in range(lo, hi)]
+    top = _block_sampler(config.dist)(config.dist, seeds, n, k)
     ladder = _ladder_values(top, config.l, pmax)
     tau = np.asarray(tau_fixed)
     if config.centering == "fixed":
@@ -216,7 +222,7 @@ def run_experiment(config):
         stats[lo:hi] = replication_block(config, tau_fixed, lo, hi)
 
     threads = _pool_size(config.n, len(blocks))
-    if _block_sampler(config.dist) is not sample_top or threads < 2:
+    if _block_sampler(config.dist) is not _sample_top_rows or threads < 2:
         for lo in blocks:
             fill(lo)
     else:

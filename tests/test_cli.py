@@ -568,14 +568,20 @@ class TestMonteCarloCommand:
             raise AssertionError("the O(n) sampler ran at n = 1e9")
 
         monkeypatch.setattr(montecarlo_mod, "sample_top", refuse)
+        argv = ["mc", "--dist", *dist, "--n", "1000000000", "--k", "1000", "--pmax", "3",
+                "--reps", "64", "--seed", "1"]
         start = time.perf_counter()
-        code, out, err = run_cli(
-            capsys, "mc", "--dist", *dist, "--n", "1000000000", "--k", "1000", "--pmax", "3",
-            "--reps", "64", "--seed", "1",
-        )
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_OK, err
         assert time.perf_counter() - start <= 10.0
         assert json.loads(out)["report"]["n"] == 10**9
+        # the refusal is live: the same run routed to Pareto's rows reaches it
+        monkeypatch.setattr(
+            montecarlo_mod, "_block_sampler", lambda dist: montecarlo_mod._sample_top_rows
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_RUNTIME, "")
+        assert "the O(n) sampler ran at n = 1e9" in err
 
     @pytest.mark.parametrize("dist", [["stretched"], ["power", "--gamma", "1.5"]])
     def test_light_tail_at_1e20(self, capsys, dist):

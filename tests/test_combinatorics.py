@@ -125,10 +125,44 @@ class TestTypeII:
             type_ii(2, 1, 3)
 
 
-# unlike types I and II, type III has no closed form independent of its own
-# walk; it is checked through its conventions, tables and rules, and through
-# the covariance integers it gives (TestCovarianceNumbers)
+def type_iii_closed(tau, v, delta):
+    """C(N, tau+delta-2) - C(N, delta-2) with N = tau + v + 2 delta - 3; the
+    second term is 0 at delta = 1.  Reflecting the bounded lattice paths of
+    ``test_lattice_path_oracle`` in y = x - tau gives the difference."""
+    n = tau + v + 2 * delta - 3
+    return math.comb(n, tau + delta - 2) - (math.comb(n, delta - 2) if delta >= 2 else 0)
+
+
+# type III is checked through its conventions, tables and rules, against a
+# binomial difference and a bounded lattice-path count, and through the
+# covariance integers it gives (TestCovarianceNumbers)
 class TestTypeIII:
+    def test_closed_form_oracle(self):
+        # every cell with tau, v, delta <= 30, from one table per tau
+        for tau in range(1, 31):
+            table = NumberTable.build("type_iii", 30, 30, tau=tau)
+            assert table.entries == {
+                (v, d): type_iii_closed(tau, v, d) for v in range(31) for d in range(1, 31)
+            }, tau
+        for tau, v, delta in [(1, 0, 1), (5, 30, 30), (30, 0, 1), (30, 30, 30), (7, 11, 2)]:
+            assert type_iii(tau, v, delta) == type_iii_closed(tau, v, delta)
+
+    def test_closed_form_at_the_table_cap(self):
+        # spot cells of the tau = 300 class, up to the tables command's cap
+        for v, delta in [(0, 1), (300, 1), (0, 2), (299, 2), (0, 300), (17, 251), (300, 300)]:
+            assert type_iii(300, v, delta) == type_iii_closed(300, v, delta), (v, delta)
+
+    def test_lattice_path_oracle(self):
+        # the monotone paths from (0, 0) to (tau+delta-2, v+delta-1) that stay
+        # on or above y = x - tau + 1
+        for tau in range(1, 6):
+            for v in range(6):
+                for delta in range(1, 7):
+                    width, height = tau + delta - 2, v + delta - 1
+                    lower = [max(0, x - tau + 1) for x in range(width + 1)]
+                    paths = lattice_path_count(width, height, lower=lower)
+                    assert type_iii(tau, v, delta) == paths, (tau, v, delta)
+
     def test_conventions(self):
         for tau in (1, 2, 3):
             for v in range(5):

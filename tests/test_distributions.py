@@ -271,6 +271,36 @@ class TestRenyiSampler:
         for name, a, b in zip(["threshold", "maximum", "T_1", "T_2", "T_3"], renyi.T, full.T):
             assert stats.ks_2samp(a, b).pvalue >= 0.01, name
 
+    @pytest.mark.parametrize("dist", [*TOP_DISTS, PowerEndpoint(0.5), PowerEndpoint(3.0, 1.5)])
+    @pytest.mark.parametrize("n, k", [(10, 9), (3000, 150), (100_000, 1000), (10**15, 1000)])
+    def test_block_rows_match_fresh_generators(self, dist, n, k):
+        # the block sampler re-keys one generator per row and maps the whole
+        # block at once; each row must equal, bit for bit, a fresh generator
+        # per seed followed by the one-row cumulative sum, division, tail
+        # quantile and reversal.  At n = 1e15 every PowerEndpoint(0.5) value
+        # rounds onto the endpoint, so there the rows cannot differ
+        from tailsum.distributions import _philox, _top_renyi_rows
+
+        def reference(seed):
+            rng = _philox("top", seed)
+            sums = np.cumsum(rng.standard_exponential(k + 1))
+            q = sums / (sums[-1] + rng.standard_gamma(n - k))
+            return dist._y_tail_quantile(q)[::-1]
+
+        seeds = [0, 1, 37, 20260810, 2**63 + 5, 2**64 - 1, 11]
+        rows = _top_renyi_rows(dist, seeds, n, k)
+        assert rows.shape == (len(seeds), k + 1)
+        assert rows.flags.c_contiguous
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, reference(seed)), seed
+            assert np.array_equal(sample_top_renyi(dist, seed, n, k), row), seed
+        # permuted seeds give permuted rows, so no state carries from a row
+        # to the next; a repeated seed gives equal rows
+        order = [6, 2, 0, 5, 1, 4, 3]
+        assert np.array_equal(_top_renyi_rows(dist, [seeds[i] for i in order], n, k), rows[order])
+        again = _top_renyi_rows(dist, [seeds[3], seeds[3], seeds[1], seeds[3]], n, k)
+        assert np.array_equal(again, rows[[3, 3, 1, 3]])
+
     def test_cost_does_not_grow_with_n(self):
         # sample_top would need 8e15 bytes here
         for dist in TOP_DISTS:

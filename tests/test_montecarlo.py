@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -302,6 +305,37 @@ class TestRunExperiment:
         for lo, hi in [(5, 5), (6, 2), (-1, 3)]:
             with pytest.raises(DomainError):
                 replication_block(config, taus, lo, hi)
+
+    @pytest.mark.parametrize("dist", [StretchedTail(), PowerEndpoint(1.5)])
+    def test_concurrent_light_tail_blocks_match_serial(self, dist):
+        # each light-tail block draws from a generator of its own, so two
+        # threads sampling disjoint blocks of one config at the same time get
+        # the serial rows bit for bit; a short switch interval makes the
+        # threads interleave within blocks
+        n, k, pmax = 100_000, 1000, 3
+        config = ExperimentConfig(dist, n, k, 0, pmax, 8 * BLOCK, 5)
+        taus = tau_p(dist, pmax, TailWindow(n, k, 0))
+        spans = [(lo, lo + BLOCK) for lo in range(0, 8 * BLOCK, BLOCK)]
+        serial = {span: replication_block(config, taus, *span) for span in spans}
+        barrier = threading.Barrier(2)
+
+        def run(mine):
+            barrier.wait(timeout=60)
+            return [
+                (span, replication_block(config, taus, *span)) for span in mine for _ in range(6)
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = [pool.submit(run, spans[i::2]) for i in range(2)]
+                rows = [row for result in results for row in result.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows) == 6 * len(spans)
+        for span, got in rows:
+            assert np.array_equal(got, serial[span]), span
 
     def test_pool_is_sized_by_blocks(self, monkeypatch):
         import tailsum.montecarlo as mc
