@@ -10,8 +10,7 @@ floats: ``build`` takes each from the binomial ``covariance_closed``, the
 production formula, and each order's weibull factors from one running
 product.  The paper's route through the number families
 (``combinatorics.covariance_number``) gives the same integers and is kept
-as the oracle the binomial is checked against.  The scalar covariances and
-``lil_envelope`` read a cell or an envelope of a model.
+as the oracle the binomial is checked against.
 """
 
 import math
@@ -25,12 +24,8 @@ from .errors import DomainError
 
 __all__ = [
     "DomainKind",
-    "covariance_factor",
     "shift_factor",
-    "covariance",
     "covariance_closed",
-    "reduced_covariance",
-    "lil_envelope",
     "CovarianceModel",
 ]
 
@@ -74,20 +69,13 @@ class DomainKind:
 
 
 def _factor_column(rho, domain):
-    """``covariance_factor(r, rho, domain)`` for r = 1..rho: the weibull
-    factors are the running products of (g+j)/(g+rho+j)."""
+    """Domain factors of column rho, for r = 1..rho: in the weibull domain
+    the running products prod_{j=1..r} (g+j)/(g+rho+j), so rho = r gives
+    the variance factor; 1 elsewhere."""
     if not domain.uses_shape:
         return [1.0] * rho
     g = domain.gamma
     return list(accumulate(((g + j) / (g + rho + j) for j in range(1, rho + 1)), mul))
-
-
-def covariance_factor(r, rho, domain):
-    """Covariance correction: prod_{j=1..r} (g+j)/(g+rho+j) for r <= rho in
-    the weibull domain, 1 elsewhere; rho = r gives the variance correction."""
-    if not (1 <= r <= rho):
-        raise DomainError(f"orders must satisfy 1 <= r <= rho, got ({r}, {rho})")
-    return _factor_column(rho, domain)[r - 1]
 
 
 def shift_factor(p, domain):
@@ -98,14 +86,6 @@ def shift_factor(p, domain):
     if not domain.uses_shape:
         return 1.0
     return (domain.gamma + p) / domain.gamma
-
-
-def covariance(r, rho, domain):
-    """Limit covariance at orders (r, rho) under random centering;
-    symmetric, and the variance at order r when rho = r."""
-    if r < 1 or rho < 1:
-        raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
-    return float(CovarianceModel.build(domain, max(r, rho)).sigma[r - 1, rho - 1])
 
 
 def covariance_closed(r, rho):
@@ -121,22 +101,6 @@ def covariance_closed(r, rho):
     if r < 1 or rho < 1:
         raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
     return math.comb(r + rho, r)
-
-
-def reduced_covariance(r, rho, domain):
-    """Limit covariance at orders (r, rho) under deterministic centering;
-    the variance at order r when rho = r."""
-    if r < 1 or rho < 1:
-        raise DomainError(f"orders must be >= 1, got ({r}, {rho})")
-    return float(CovarianceModel.build(domain, max(r, rho)).reduced_matrix()[r - 1, rho - 1])
-
-
-def lil_envelope(p, domain, k, n):
-    """
-    Iterated-logarithm fluctuation envelope for the relative error of the
-    order-p statistic: sqrt(reduced_covariance(p, p)) * sqrt(2 loglog(n) / k).
-    """
-    return CovarianceModel.build(domain, p).lil_envelopes(k, n)[-1]
 
 
 # the largest order whose central binomial C(2p, p), the largest unit
@@ -193,7 +157,9 @@ class CovarianceModel:
             return self.sigma - (e[:, None] + e) + e[:, None] * e
 
     def lil_envelopes(self, k, n):
-        """The ``lil_envelope`` of every order 1..pmax."""
+        """Iterated-logarithm fluctuation envelopes for the relative error of
+        the statistics of orders 1..pmax: sqrt(reduced variance) *
+        sqrt(2 loglog(n) / k)."""
         if not (3 <= k < n):
             raise DomainError(f"need 3 <= k < n, got k={k}, n={n}")
         loglog = math.log(math.log(n))

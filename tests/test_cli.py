@@ -22,7 +22,6 @@ from tailsum import (
     ParseError,
     Pareto,
     TailWindow,
-    lil_envelope,
     log_transform,
     sample_iid,
     sum_product_ladder,
@@ -168,8 +167,18 @@ class TestEstimate:
         assert code == EXIT_OK
         assert builds == [170]
         envelopes = [entry["lil_envelope"] for entry in json.loads(out)["results"]]
+        # each envelope from its own cell: the reduced variance is the
+        # weibull factor prod_{j=1..p} (g+j)/(g+p+j) times C(2p, p), minus
+        # 2e plus e^2 with e = (g+p)/g (factor and e are 1 for frechet)
+        scale = math.sqrt(2 * math.log(math.log(200)) / 20)
         for p in (1, 2, 3, 85, 170):
-            assert envelopes[p - 1] == lil_envelope(p, domain, 20, 200)
+            factor, e = 1.0, 1.0
+            if domain.uses_shape:
+                g = domain.gamma
+                factor = math.prod((g + j) / (g + p + j) for j in range(1, p + 1))
+                e = (g + p) / g
+            variance = factor * math.comb(2 * p, p) - (e + e) + e * e
+            assert envelopes[p - 1] == math.sqrt(variance) * scale
 
     def test_csv_format(self, capsys, datafile):
         code, out, _ = run_cli(

@@ -245,6 +245,19 @@ class TestCovarianceNumbers:
         assert covariance_number(1, 4) == 5
         assert covariance_number(2, 3) == 10
 
+    def test_type_iii_binomial_identity(self):
+        # the identity behind the recursion route agreeing with the binomial,
+        # checked without the walk: sum_{j=0..r} type_iii(rho-r, 1, j)
+        # C(2(r-j), r-j) = C(r+rho, r), whose j = 0 term is C(2r, r) by the
+        # delta = 0 convention type_iii(tau, v, 0) = 1
+        pairs = [(r, rho) for r in range(80) for rho in range(r + 1, r + 60)]
+        for r, rho in pairs + [(1, 514), (257, 514), (300, 450), (513, 514)]:
+            total = math.comb(2 * r, r) + sum(
+                type_iii_closed(rho - r, 1, j) * math.comb(2 * (r - j), r - j)
+                for j in range(1, r + 1)
+            )
+            assert total == math.comb(r + rho, r), (r, rho)
+
 
 class TestCompositions:
     def test_examples(self):

@@ -1,14 +1,19 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import tailsum
-from tailsum import combinatorics, distributions, errors, estimators, limits, montecarlo
+from tailsum import cli, combinatorics, distributions, errors, estimators, limits, montecarlo
 
 MODULES = (combinatorics, distributions, errors, estimators, limits, montecarlo)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-# the package exports as they were listed by hand in the package itself,
-# less ``Tolerances``, which became module constants, and ``hill``,
-# ``tail_moment`` and ``SpacingSet``, whose values the ladder and the plain
-# spacing array give
+# the package exports as they were listed by hand in the package itself, less
+# - ``Tolerances``, which became module constants;
+# - ``hill``, ``tail_moment`` and ``SpacingSet``, whose values the ladder and
+#   the plain spacing array give;
+# - the scalar limit accessors, whose values are cells and envelopes of
+#   ``CovarianceModel``, listed in ``REMOVED``.
 HAND_LISTED = [
     "__version__",
     "Composition", "NumberTable", "compositions", "covariance_number",
@@ -20,12 +25,12 @@ HAND_LISTED = [
     "SortedSample", "TailWindow", "index_estimate", "log_transform",
     "spacings", "sum_product", "sum_product_enum", "sum_product_ladder",
     "tail_index",
-    "CovarianceModel", "DomainKind", "covariance", "covariance_closed",
-    "covariance_factor", "lil_envelope", "reduced_covariance", "shift_factor",
+    "CovarianceModel", "DomainKind", "covariance_closed", "shift_factor",
     "ExperimentConfig", "ExperimentReport", "QuadratureConfig",
     "adjudicate_covariance", "limit_covariance_quadrature", "replication_block",
     "run_experiment",
 ]
+REMOVED = ["covariance", "covariance_factor", "lil_envelope", "reduced_covariance"]
 
 
 def test_exports_are_the_module_lists():
@@ -44,16 +49,66 @@ def test_each_export_is_its_module_object():
 
 def test_hand_listed_names_still_exported():
     assert set(HAND_LISTED) <= set(tailsum.__all__)
-    assert not hasattr(tailsum, "Tolerances")
+    for name in ["Tolerances", *REMOVED]:
+        assert not hasattr(tailsum, name), name
     namespace = {}
     exec("from tailsum import *", namespace)
     assert set(HAND_LISTED) <= set(namespace)
 
 
 def test_readme_library_example_runs():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert abs(namespace["gamma"] - 2.0) <= 0.05
+
+
+# backticked words of the module overview that name no code: a scipy
+# function loaded lazily, the command and the package
+NOT_CODE = {"erfcx", "mc", "tailsum"}
+# what a dataclass field without a class default resolves to
+FIELD = object()
+
+
+def _resolve(identifier, owners):
+    """Every object a dotted name reads as an attribute or dataclass field
+    of one of ``owners``."""
+    head, _, rest = identifier.partition(".")
+    found = []
+    for owner in owners:
+        if hasattr(owner, head):
+            obj = getattr(owner, head)
+            found += _resolve(rest, [obj]) if rest else [obj]
+        elif not rest and dataclasses.is_dataclass(owner):
+            if head in {field.name for field in dataclasses.fields(owner)}:
+                found.append(FIELD)
+    return found
+
+
+def test_readme_overview_names_only_existing_code():
+    # every Python identifier the overview quotes is an attribute of the
+    # package, the cli or a layer module, or an attribute or dataclass field
+    # of one of their public classes; one quoted with a call's arguments
+    # must be callable
+    overview = README.read_text(encoding="utf-8").split("## Install", 1)[0]
+    identifier = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?")
+    modules = (tailsum, cli, *MODULES)
+    classes = {
+        obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and not name.startswith("_")
+        and obj.__module__.startswith("tailsum")
+    }
+    quoted, stale = set(), []
+    for text in re.findall(r"`([^`]+)`", overview):
+        match = identifier.fullmatch(text)
+        if match is None or match[1] in NOT_CODE:
+            continue
+        quoted.add(match[1])
+        found = _resolve(match[1], [*modules, *classes])
+        if not (any(map(callable, found)) if match[2] else found):
+            stale.append(text)
+    assert {"CovarianceModel", "sigma", "reduced_matrix", "lil_envelopes"} <= quoted
+    assert not stale, f"README's overview names code that does not exist: {stale}"
