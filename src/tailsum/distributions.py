@@ -162,6 +162,14 @@ class PowerEndpoint:
         return inside**self.gamma
 
     def _m_route(self, pmax, xs):
+        # the rule's temporaries hold thresholds x 128 floats, so a long array
+        # of thresholds (a whole mc run's) takes them a slice at a time; the
+        # route works element by element, so the slices keep every bit
+        if xs.size > _RULE_SLICE:
+            flat = xs.reshape(-1)
+            parts = [self._m_route(pmax, flat[lo : lo + _RULE_SLICE])
+                     for lo in range(0, flat.size, _RULE_SLICE)]
+            return tuple(np.concatenate(part).reshape(xs.shape + (pmax,)) for part in zip(*parts))
         # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
         # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
         # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits;
@@ -184,6 +192,11 @@ class PowerEndpoint:
         # and where the weights overflow (gamma beyond about 1000)
         ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
         return fine, ok
+
+
+# thresholds per pass of PowerEndpoint's rule: each (thresholds x 128)
+# temporary stays at 1 MiB
+_RULE_SLICE = 1024
 
 
 @functools.lru_cache(maxsize=32)

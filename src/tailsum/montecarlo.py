@@ -162,6 +162,40 @@ def _pool_size(n, blocks):
     return min(MAX_THREADS, blocks, cpus, free // (8 * n))
 
 
+def _sample_ladders(config, lo, hi):
+    """
+    The statistic ladders of replications lo .. hi-1 as an (hi-lo) x pmax
+    array, and their window thresholds Y_{n-k,n}.  One sampler call draws
+    the top order statistics of the samples keyed by replications lo .. hi-1
+    (see ``_block_sampler``), so each row depends on its replication index
+    only.
+    """
+    seeds = [_rep_seed(config.seed, rep) for rep in range(lo, hi)]
+    top = _block_sampler(config.dist)(config.dist, seeds, config.n, config.k)
+    return _ladder_values(top, config.l, config.pmax), top[:, 0]
+
+
+def _normalized(config, tau_fixed, ladders, thresholds):
+    """
+    Rows sqrt(k) (T_p - center_p) / tau_p of the ladders, where tau_p is at
+    the deterministic threshold and the center is ``tau_fixed`` under fixed
+    centering or, under random centering, the centering values at each
+    row's own threshold, every row and order from one ``tau_p_at`` call.
+    Each family's route works element by element, so one call over many
+    thresholds gives the bits of one call per slice of them.
+    """
+    tau = np.asarray(tau_fixed)
+    if config.centering == "fixed":
+        center = tau
+    else:
+        window = TailWindow(config.n, config.k, config.l)
+        center = tau_p_at(config.dist, config.pmax, window, thresholds)
+    # a centering value of 0 at an order >= 2 (below the float range) gives
+    # non-finite rows, which the report check stops; numpy need not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.sqrt(config.k) * (ladders - center) / tau
+
+
 def replication_block(config, tau_fixed, lo, hi):
     """
     Normalized statistic ladders of replications lo .. hi-1, as an
@@ -171,36 +205,27 @@ def replication_block(config, tau_fixed, lo, hi):
     threshold, where T_p comes from the top k+1 order statistics of the
     sample keyed by replication lo+i, and the center is ``tau_fixed`` under
     fixed centering or the centering values at that sample's own threshold
-    Y_{n-k,n} under random centering, every order of the block from one
-    ``tau_p_at`` call.  One sampler call draws the block's top order
-    statistics (see ``_block_sampler``).  Each row depends on its
-    replication index only.
+    Y_{n-k,n} under random centering.  These are ``run_experiment``'s two
+    steps on one range: ``_sample_ladders``, then ``_normalized`` with one
+    ``tau_p_at`` call for the range.  Each row depends on its replication
+    index only, and equals that row of ``run_experiment``'s whole run.
     """
     if not (0 <= lo < hi):
         raise DomainError(f"need 0 <= lo < hi, got lo={lo}, hi={hi}")
-    n, k, pmax = config.n, config.k, config.pmax
-    window = TailWindow(n, k, config.l)
-    seeds = [_rep_seed(config.seed, rep) for rep in range(lo, hi)]
-    top = _block_sampler(config.dist)(config.dist, seeds, n, k)
-    ladder = _ladder_values(top, config.l, pmax)
-    tau = np.asarray(tau_fixed)
-    if config.centering == "fixed":
-        center = tau
-    else:
-        center = tau_p_at(config.dist, pmax, window, top[:, 0])
-    # a centering value of 0 at an order >= 2 (below the float range) gives
-    # non-finite rows, which the report check stops; numpy need not warn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return math.sqrt(k) * (ladder - center) / tau
+    return _normalized(config, tau_fixed, *_sample_ladders(config, lo, hi))
 
 
 def run_experiment(config):
     """
     Run the replicated experiment and aggregate moments.
 
-    Blocks of ``BLOCK`` consecutive replications share ``_pool_size`` threads under Pareto's
-    O(n) sampler and run inline otherwise, as threads only slow O(k) blocks.  Each block
-    writes its own rows, reduced in index order, so the report is bit-identical for any pool.
+    Blocks of ``BLOCK`` consecutive replications are sampled and reduced to
+    their ladders, sharing ``_pool_size`` threads under Pareto's O(n)
+    sampler and inline otherwise, as threads only slow O(k) blocks.  Each
+    block writes its own rows of the run's ladders and thresholds, and the
+    whole run is then centered and normalized at once: one ``tau_p_at`` call
+    under random centering.  The rows are reduced in index order, so the
+    report is bit-identical for any pool.
     """
     window = TailWindow(config.n, config.k, config.l)
     tau_fixed = tau_p(config.dist, config.pmax, window)
@@ -214,12 +239,13 @@ def run_experiment(config):
                 f"is {tau}, not a positive finite float"
             )
 
-    stats = np.empty((config.reps, config.pmax))
+    ladders = np.empty((config.reps, config.pmax))
+    thresholds = np.empty(config.reps)
     blocks = range(0, config.reps, BLOCK)
 
     def fill(lo):
         hi = min(lo + BLOCK, config.reps)
-        stats[lo:hi] = replication_block(config, tau_fixed, lo, hi)
+        ladders[lo:hi], thresholds[lo:hi] = _sample_ladders(config, lo, hi)
 
     threads = _pool_size(config.n, len(blocks))
     if _block_sampler(config.dist) is not _sample_top_rows or threads < 2:
@@ -228,6 +254,7 @@ def run_experiment(config):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, blocks))
+    stats = _normalized(config, tau_fixed, ladders, thresholds)
 
     reps = config.reps
     # rows made non-finite by a centering below the float range give

@@ -510,7 +510,7 @@ class TestCovariance:
         def refuse(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(montecarlo_mod, "replication_block", refuse)
+        monkeypatch.setattr(montecarlo_mod, "_sample_ladders", refuse)
         mc = ["mc", "--dist", "stretched", "--n", "1000", "--k", "100", "--pmax", "2",
               "--reps", "4", "--seed", "1"]
         path = tmp_path / "report"
@@ -927,13 +927,14 @@ class TestNonFiniteReports:
         assert out == ""
 
     def test_non_finite_rows_aggregate_silently(self, capsys, monkeypatch):
-        # a centering below the float range gives -inf rows
-        def infinite_row(config, tau_fixed, lo, hi):
-            rows = np.ones((hi - lo, config.pmax))
-            rows[0] = -np.inf
-            return rows
+        # a centering below the float range gives -inf rows; here a block's
+        # ladders carry one, which the run's normalization keeps
+        def infinite_row(config, lo, hi):
+            ladders = np.ones((hi - lo, config.pmax))
+            ladders[0] = -np.inf
+            return ladders, np.ones(hi - lo)
 
-        monkeypatch.setattr(montecarlo_mod, "replication_block", infinite_row)
+        monkeypatch.setattr(montecarlo_mod, "_sample_ladders", infinite_row)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(

@@ -515,6 +515,20 @@ class TestThresholdArrays:
                 else:
                     assert np.array_equal(ladder[:, p - 1], single)
 
+    def test_power_slices_keep_every_bit(self):
+        # thresholds beyond the rule's slice length, such as a whole mc run's,
+        # go through the rule a slice at a time and keep the bits of a
+        # block-sized call, for a flat array and a grid alike
+        dist = PowerEndpoint(1.5)
+        w = TailWindow(100_000, 1000, 0)
+        size = 2 * tailsum.distributions._RULE_SLICE + 37
+        xs = np.linspace(0.0, 0.99, size) * dist.y_end
+        whole = tau_p_at(dist, 4, w, xs)
+        blocks = [tau_p_at(dist, 4, w, xs[lo : lo + 32]) for lo in range(0, size, 32)]
+        assert np.array_equal(whole, np.concatenate(blocks))
+        grid = xs[: 37 * 56].reshape(37, 56)
+        assert np.array_equal(tau_p_at(dist, 4, w, grid), whole[: 37 * 56].reshape(37, 56, 4))
+
     def test_stretched_matches_reference(self):
         for p in range(1, 31):
             values = m_p_value(StretchedTail(), p, np.array(self.XS))

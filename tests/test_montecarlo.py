@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,9 +23,11 @@ from tailsum import (
     adjudicate_covariance,
     covariance_closed,
     limit_covariance_quadrature,
+    m_p_quadrature,
     replication_block,
     run_experiment,
     sample_iid,
+    sample_top,
     sample_top_renyi,
     sum_product_ladder,
     tau_p,
@@ -305,6 +308,65 @@ class TestRunExperiment:
         for lo, hi in [(5, 5), (6, 2), (-1, 3)]:
             with pytest.raises(DomainError):
                 replication_block(config, taus, lo, hi)
+
+    @pytest.mark.parametrize(
+        "dist, n, k, l, falls_back",
+        [
+            (Pareto(1.0), 3000, 150, 0, False),
+            # at k/n = 0.25 the recurrence's check fails and elements take quad
+            (StretchedTail(), 1000, 250, 0, True),
+            (PowerEndpoint(1.5), 3000, 150, 3, False),
+        ],
+    )
+    def test_one_centering_call_per_run(self, monkeypatch, dist, n, k, l, falls_back):
+        # a run centers every replication with one tau_p_at call, which gets
+        # every threshold in index order and returns, bit for bit, what one
+        # call per block returns
+        import tailsum.distributions as distributions_mod
+        import tailsum.montecarlo as mc
+
+        calls, quadratures = [], []
+
+        def recording(*args):
+            centers = tau_p_at(*args)
+            calls.append((args, centers))
+            return centers
+
+        def counting(*args):
+            quadratures.append(args)
+            return m_p_quadrature(*args)
+
+        monkeypatch.setattr(mc, "tau_p_at", recording)
+        monkeypatch.setattr(distributions_mod, "m_p_quadrature", counting)
+        pmax, reps, seed = 3, BLOCK + 7, 31
+        window = TailWindow(n, k, l)
+        run_experiment(ExperimentConfig(dist, n, k, l, pmax, reps, seed, centering="fixed"))
+        assert calls == []
+        run_experiment(ExperimentConfig(dist, n, k, l, pmax, reps, seed))
+        assert len(calls) == 1
+        (got_dist, got_pmax, got_window, thresholds), centers = calls[0]
+        assert (got_dist, got_pmax, got_window) == (dist, pmax, window)
+        sampler = sample_top if isinstance(dist, Pareto) else sample_top_renyi
+        expected = [sampler(dist, rep_seed(seed, rep), n, k)[0] for rep in range(reps)]
+        assert np.array_equal(thresholds, expected)
+        assert bool(quadratures) == falls_back
+        blocks = [tau_p_at(dist, pmax, window, thresholds[lo : lo + BLOCK])
+                  for lo in range(0, reps, BLOCK)]
+        assert np.array_equal(centers, np.concatenate(blocks))
+
+    @pytest.mark.parametrize("dist", [StretchedTail(), PowerEndpoint(1.5)])
+    def test_peak_memory_of_a_light_tail_run(self, dist):
+        # the run's one centering call sees all 2000 thresholds at once, and
+        # PowerEndpoint's rule holds thresholds x 128 temporaries, a slice at
+        # a time; the run stays well inside the 16 MB that CI allows its RSS
+        run_experiment(ExperimentConfig(dist, 100_000, 1000, 0, 3, 2, 1))  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig(dist, 100_000, 1000, 0, 3, 2000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"{peak / 2**20:.1f} MB"
 
     @pytest.mark.parametrize("dist", [StretchedTail(), PowerEndpoint(1.5)])
     def test_concurrent_light_tail_blocks_match_serial(self, dist):
