@@ -223,13 +223,9 @@ def cmd_estimate(args):
             estimate = index_estimate(t, p)
         except UndefinedEstimateError:
             estimate = None
-        entry = {
-            "p": p,
-            "statistic": t,
-            "index_estimate": estimate,
-            "lil_envelope": envelope,
-        }
-        statistics.append(entry)
+        statistics.append(
+            {"p": p, "statistic": t, "index_estimate": estimate, "lil_envelope": envelope}
+        )
     manifest = _manifest(args)
     payload = {
         "n": sample.n,

@@ -17,7 +17,6 @@ from operator import mul
 from .errors import DomainError
 
 __all__ = [
-    "Composition",
     "compositions",
     "type_i",
     "type_ii",
@@ -29,42 +28,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integers; order is significant."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if len(self.parts) == 0 or any(s != int(s) or s < 1 for s in self.parts):
-            raise DomainError(f"composition parts must be positive integers: {self.parts}")
-        object.__setattr__(self, "parts", tuple(int(s) for s in self.parts))
-
-    @property
-    def total(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
 def compositions(p, h):
     """
-    All ordered compositions of p into exactly h positive parts,
-    in lexicographic order.  There are binomial(p-1, h-1) of them.
+    All ordered compositions of p into exactly h positive parts, each a
+    tuple of ints, in lexicographic order.  There are binomial(p-1, h-1)
+    of them.
     """
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     if h < 1 or h > p:
         raise DomainError(f"h must satisfy 1 <= h <= p, got h={h}, p={p}")
-    out = []
-    for cuts in combinations(range(1, p), h - 1):
-        bounds = (0,) + cuts + (p,)
-        out.append(Composition(tuple(bounds[i + 1] - bounds[i] for i in range(h))))
-    return out
+    return [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, p)))
+        for cuts in combinations(range(1, p), h - 1)
+    ]
 
 
 def _walk(col, shift, steps):

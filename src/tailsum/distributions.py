@@ -4,16 +4,17 @@ top order statistics), and the iterated tail integrals needed to center
 the statistics.
 
 ``sample_iid`` draws its n uniforms with ``Generator.random`` and is the
-reference.  ``sample_top`` reads the same n raw Philox words, selects the
-k+1 largest and converts only those with numpy's own (w >> 11) * 2^-53, so
-its result is the top of ``sample_iid``'s bit for bit, in O(n) per sample;
-``mc`` uses it for Pareto.  ``sample_top_renyi`` draws the survival values
-of the top k+1 order statistics directly, by Renyi's representation, from
-k+1 exponentials and one Gamma(n-k) variate on a stream of its own, and
-maps them through each family's tail quantile: O(k) per sample whatever
-n, with the law of ``sample_top`` but not its values.  ``mc`` draws it for
-PowerEndpoint and StretchedTail a block of seeds at a time, with the same
-values, and ``sample_top`` is its reference.
+reference.  Both top samplers take a sequence of seeds and return one row
+per seed, each row keyed by its own seed alone.  ``sample_top`` reads the
+same n raw Philox words per seed, selects the k+1 largest and converts only
+those with numpy's own (w >> 11) * 2^-53, so each row is the top of
+``sample_iid``'s bit for bit, in O(n) per sample; ``mc`` uses it for
+Pareto.  ``sample_top_renyi`` draws the survival values of the top k+1
+order statistics directly, by Renyi's representation, from k+1
+exponentials and one Gamma(n-k) variate on a stream of its own, and maps
+them through each family's tail quantile: O(k) per sample whatever n, with
+the law of ``sample_top`` but not its values.  ``mc`` uses it for
+PowerEndpoint and StretchedTail, and ``sample_top`` is its reference.
 
 All three families satisfy F(1) = 0, so log-scale observations are
 non-negative.  m_p is the p-fold iterated integral of the log-scale
@@ -79,6 +80,12 @@ def _thresholds(dist, x):
         bad = xs[~inside].flat[0]
         raise DomainError(f"threshold of {dist} must lie in [0, {dist.y_end}), got {bad}")
     return xs
+
+
+def _passes(coarse, fine):
+    """The check of a route's two passes: where ``fine`` is finite, positive
+    and within 1e-12 relative of ``coarse``."""
+    return np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,7 @@ class PowerEndpoint:
         coarse, fine = values
         # the check fails where no fixed rule fits (extreme gamma * ln(x0))
         # and where the weights overflow (gamma beyond about 1000)
-        ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
-        return fine, ok
+        return fine, _passes(coarse, fine)
 
 
 # thresholds per pass of PowerEndpoint's rule: each (thresholds x 128)
@@ -280,8 +286,7 @@ def _scaled_iterated_erfc(pmax, x):
                 ratios.append(ratio)
         product = np.cumprod(np.stack([np.ones_like(ratio), *ratios[::-1]], axis=-1), axis=-1)
         coarse, fine = erfcx(x)[..., None] * product
-        ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
-    return fine, ok
+        return fine, _passes(coarse, fine)
 
 
 def quantile(dist, u):
@@ -317,73 +322,79 @@ def sample_iid(dist, seed, n):
     return SortedSample(y, below_support=bool(y[0] < 0.0))
 
 
-def sample_top(dist, seed, n, k):
-    """
-    The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
-    the sample ``sample_iid(dist, seed, n)``, ascending: the ``mc`` sampler
-    of Pareto, and the reference ``sample_top_renyi`` is tested against.
+def _allocate(shape, what):
+    """``np.empty(shape)``; a size that cannot be allocated, or that exceeds
+    numpy's largest array, raises ``DomainError`` naming ``what``."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        raise DomainError(f"cannot allocate the {8 * math.prod(shape)} bytes of {what}") from None
 
-    The same n raw 64-bit Philox words that ``Generator.random(n)`` reads
-    are drawn, but only the k+1 largest are selected and converted, by
-    numpy's own double map (w >> 11) * 2^-53.  That map and the quantile
-    are non-decreasing, so the result equals
-    ``sample_iid(dist, seed, n).values[n-k-1:]`` bit for bit.  The words
-    take 8n bytes; a size whose words cannot be allocated, or that exceeds
-    numpy's largest array, raises ``DomainError``.
-    """
+
+def _top_block(seeds, n, k):
+    """The empty (len(seeds), k+1) block of a top sampler, after the window check."""
     if not (0 < k < n):
         raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
-    try:
-        words = _philox("sample", seed).bit_generator.random_raw(n)
-    except (MemoryError, ValueError):
-        raise DomainError(
-            f"cannot allocate the {8 * n} bytes of raw words for a sample of n = {n}"
-        ) from None
-    words.partition(n - k - 1)
-    u = (words[n - k - 1 :] >> 11) * 2.0**-53
-    return np.sort(dist._y_quantile(u))
+    return _allocate((len(seeds), k + 1), f"{len(seeds)} rows of top order statistics at k = {k}")
 
 
-def sample_top_renyi(dist, seed, n, k):
+def sample_top(dist, seeds, n, k):
     """
     The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
-    an iid sample of size n, ascending, in O(k) time and memory whatever n.
+    the sample ``sample_iid(dist, seed, n)`` of each seed, as a C-contiguous
+    (len(seeds), k+1) array whose ascending row i belongs to seeds[i]: the
+    ``mc`` sampler of Pareto, and the reference ``sample_top_renyi`` is
+    tested against.
+
+    Each row draws the same n raw 64-bit Philox words that
+    ``Generator.random(n)`` reads, but selects and converts only the k+1
+    largest, by numpy's own double map (w >> 11) * 2^-53.  That map and the
+    quantile are non-decreasing, so row i equals
+    ``sample_iid(dist, seeds[i], n).values[n-k-1:]`` bit for bit.  The words
+    take 8n bytes, one sample's at a time; sizes that cannot be allocated
+    raise ``DomainError``.
+    """
+    rows = _top_block(seeds, n, k)
+    for row, seed in zip(rows, seeds):
+        try:
+            words = _philox("sample", seed).bit_generator.random_raw(n)
+        except (MemoryError, ValueError):
+            raise DomainError(
+                f"cannot allocate the {8 * n} bytes of raw words for a sample of n = {n}"
+            ) from None
+        words.partition(n - k - 1)
+        row[:] = np.sort(dist._y_quantile((words[n - k - 1 :] >> 11) * 2.0**-53))
+        del words  # frees these 8n bytes before the next sample draws its own
+    return rows
+
+
+def sample_top_renyi(dist, seeds, n, k):
+    """
+    The top k+1 log-scale order statistics Y_{n-k,n} <= ... <= Y_{n,n} of
+    an iid sample of size n for each seed, in O(k) time and memory per seed
+    whatever n, as a C-contiguous (len(seeds), k+1) array whose ascending
+    row i is keyed by seeds[i] alone.
 
     By Renyi's representation the survival values of the top order
     statistics, largest first, are q_j = S_j / S_(n+1), j = 1 .. k+1, where
     S_j are the partial sums of n+1 iid standard exponentials; the n-k
     exponentials past the (k+1)-th sum to G ~ Gamma(n-k), so
-    q_j = S_j / (S_(k+1) + G).  A Philox stream keyed by ``seed`` under its
+    q_j = S_j / (S_(k+1) + G).  A Philox stream keyed by the seed under its
     own label, never shared with ``sample_iid``, draws the k+1 exponentials
     and then G; the family's tail quantile y = G-bar^(-1)(q) maps the q_j,
-    which descend in y, and reversing them sorts the result.  It has the
-    law of ``sample_top(dist, seed, n, k)``, not its values.  It is the
-    one-seed case of the block sampler ``mc`` uses, so its values are
-    those of ``mc``'s replication keyed by ``seed``.
-    """
-    return _top_renyi_rows(dist, [seed], n, k)[0]
+    which descend in y, and reversing them sorts the row.  A row has the
+    law of the same seed's ``sample_top`` row, not its values.
 
-
-def _top_renyi_rows(dist, seeds, n, k):
+    One Philox bit generator serves the whole call; before each row its
+    state is reset to the row's key with counter 0 and an empty buffer, the
+    state of a generator built afresh from that key, at a fraction of the
+    cost.  The exponentials go straight into the row and G aside; the
+    partial sums, division, tail quantile and reversal then run once on the
+    whole array, elementwise or along rows, so a row's bits depend on its
+    own seed only.  The generator is local to the call, so calls on several
+    threads share no state.
     """
-    ``sample_top_renyi`` of each seed in turn, one row per seed, as a
-    C-contiguous (len(seeds), k+1) array.
-
-    One Philox bit generator serves the whole call.  Before each row its
-    state is set to the row's key with counter 0 and an empty buffer, which
-    is the state of a generator built afresh from that key, at a fraction of
-    the cost (building one also draws OS entropy for a seed sequence that a
-    given key makes useless).  The k+1 exponentials go straight into the
-    row, and G is kept aside.  The partial sums and the division, in place,
-    then the tail quantile and the reversal run once on the whole array;
-    each is elementwise or runs along a row, so every row equals the
-    one-seed result bit for bit and depends on its own seed only.  The
-    generator is local to the call, so calls on several threads share no
-    state.
-    """
-    if not (0 < k < n):
-        raise DomainError(f"need 0 < k < n, got n={n}, k={k}")
-    rows = np.empty((len(seeds), k + 1))
+    rows = _top_block(seeds, n, k)
     gammas = np.empty(len(seeds))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)

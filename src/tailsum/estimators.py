@@ -3,10 +3,11 @@
 The order-p statistic averages, over all ordered compositions of p and all
 strictly decreasing index chains inside a tail window, weighted products of
 powers of the log-spacings.  One closed form over the top order statistics
-(``sum_product``, ``sum_product_ladder``) computes it; a brute-force
-enumeration over chains (``sum_product_enum``) is the independent oracle it
-is checked against.  Hill's statistic (p = 1) and the moment form of Dekkers,
-Einmahl and de Haan (l = 0) are margins of this one ladder, not separate
+(``sum_product_ladder``) computes every order up to pmax in one pass; a
+brute-force enumeration over chains (``sum_product_enum``) is the
+independent oracle it is checked against.  Hill's statistic (p = 1), the
+moment form of Dekkers, Einmahl and de Haan (l = 0) and the index estimate
+T_p^(-1/p) (``index_estimate``) are margins of this one ladder, not separate
 formulas.
 """
 
@@ -25,11 +26,9 @@ __all__ = [
     "TailWindow",
     "log_transform",
     "spacings",
-    "sum_product",
     "sum_product_enum",
     "sum_product_ladder",
     "index_estimate",
-    "tail_index",
 ]
 
 # chain budget for the brute-force enumeration
@@ -143,34 +142,17 @@ def _ladder_values(top, l, pmax):
     return out
 
 
-def sum_product(sample, window, p):
-    """
-    Order-p sum-product statistic via the closed form over the top
-    order statistics (see ``_ladder_values``).
-
-    Parameters
-    ----------
-    sample : SortedSample
-        Log-scale observations.
-    window : TailWindow
-        Which upper order statistics enter the statistic.
-    p : int
-        Order of the statistic.  Hill's statistic is
-        ``sum_product(sample, window, 1)``, (1/k) sum_{j=l+1..k} j D_j; at
-        l = 0 the order-p value is the moment form
-        (1/k) sum_{i=1..k} (Y_{n-i+1,n} - Y_{n-k,n})^p / p!.
-
-    Returns
-    -------
-    float
-        The statistic value; non-negative, and zero when every spacing in
-        the window is zero (also, by underflow, when all are subnormal).
-    """
-    return sum_product_ladder(sample, window, p)[p - 1]
-
-
 def sum_product_ladder(sample, window, pmax):
-    """All statistics of order 1..pmax from one closed-form pass."""
+    """
+    Sum-product statistics of order 1..pmax from one closed-form pass over
+    the top order statistics (see ``_ladder_values``), as a list of floats.
+
+    Entry p-1 is the order-p statistic whatever pmax.  Entry 0 is Hill's
+    statistic (1/k) sum_{j=l+1..k} j D_j, and at l = 0 entry p-1 is the
+    moment form (1/k) sum_{i=1..k} (Y_{n-i+1,n} - Y_{n-k,n})^p / p!.  Each
+    value is non-negative, and zero when every spacing in the window is zero
+    (also, by underflow, when all are subnormal).
+    """
     window.check(sample)
     top = sample.values[window.n - window.k - 1 :]
     return [float(t) for t in _ladder_values(top, window.l, pmax)]
@@ -185,17 +167,17 @@ def sum_product_enum(sample, window, p):
     Order-p statistic by brute-force enumeration over ordered compositions
     and strictly decreasing index chains.  Exponential-cost oracle intended
     for small windows; raises EnumerationBudgetError when the chain count
-    is too large (use ``sum_product`` instead).
+    is too large (use ``sum_product_ladder`` instead).
     """
     if p < 1:
         raise DomainError(f"order must be >= 1, got {p}")
     d = spacings(sample, window)
     k, l = window.k, window.l
-    m = k - l
-    if _enum_chain_count(m, p) > _ENUM_LIMIT:
+    chains = _enum_chain_count(k - l, p)
+    if chains > _ENUM_LIMIT:
         raise EnumerationBudgetError(
-            f"enumeration over {_enum_chain_count(m, p)} chains exceeds the budget; "
-            "use sum_product for large windows"
+            f"enumeration over {chains} chains exceeds the budget; "
+            "use sum_product_ladder for large windows"
         )
     # pw[s][i-(l+1)] = D_i^s / s!
     pw = [None] + [d**s / math.factorial(s) for s in range(1, p + 1)]
@@ -203,11 +185,10 @@ def sum_product_enum(sample, window, p):
     def terms():
         for h in range(1, p + 1):
             for comp in compositions(p, h):
-                s = comp.parts
                 for chain in combinations(range(k, l, -1), h):
                     prod = float(chain[-1])
                     for mth in range(h):
-                        prod *= pw[s[mth]][chain[mth] - (l + 1)]
+                        prod *= pw[comp[mth]][chain[mth] - (l + 1)]
                     yield prod
 
     return math.fsum(terms()) / k
@@ -215,9 +196,10 @@ def sum_product_enum(sample, window, p):
 
 def index_estimate(t, p):
     """
-    Index estimate t^(-1/p) from an order-p statistic value.  Raises
-    UndefinedEstimateError when the statistic vanishes (fully tied window)
-    or is so small that the estimate overflows a float.
+    Index estimate t^(-1/p) from an order-p statistic value, such as entry
+    p-1 of ``sum_product_ladder``.  Raises UndefinedEstimateError when the
+    statistic vanishes (fully tied window) or is so small that the estimate
+    overflows a float.
     """
     t = float(t)
     if t <= 0.0:
@@ -231,10 +213,3 @@ def index_estimate(t, p):
             f"order-{p} statistic is {t}; the index estimate overflows"
         ) from None
 
-
-def tail_index(sample, window, p):
-    """
-    Index estimate T^(-1/p) from the order-p statistic; see ``index_estimate``
-    for when it is undefined.
-    """
-    return index_estimate(sum_product(sample, window, p), p)

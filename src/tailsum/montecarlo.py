@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import covariance_number
-from .distributions import Pareto, _top_renyi_rows, sample_top, tau_p, tau_p_at
+from .distributions import Pareto, _allocate, sample_top, sample_top_renyi, tau_p, tau_p_at
 from .errors import DomainError
 from .estimators import TailWindow, _check_ladder_range, _ladder_values
 from .limits import CovarianceModel, covariance_closed
@@ -135,16 +135,12 @@ def _rep_seed(seed, rep):
     return int.from_bytes(digest[:8], "big")
 
 
-def _sample_top_rows(dist, seeds, n, k):
-    return np.stack([sample_top(dist, seed, n, k) for seed in seeds])
-
-
 def _block_sampler(dist):
-    """The rows sampler ``(dist, seeds, n, k) -> (len(seeds), k+1) array`` of a block.  The
-    light tails take the O(k) ``sample_top_renyi`` rows, drawn from one re-keyed generator
-    and mapped in one call, so n can be 1e9 or more; Pareto takes a stack of O(n)
-    ``sample_top`` calls until its gate uses exact standard errors (ROADMAP item 2)."""
-    return _sample_top_rows if isinstance(dist, Pareto) else _top_renyi_rows
+    """The sampler of a block: the O(k) ``sample_top_renyi`` for the light tails, so n
+    can be 1e9 or more, and Pareto's O(n) ``sample_top`` until its gate uses exact
+    standard errors (ROADMAP item 2).  Both map ``(dist, seeds, n, k)`` to a
+    (len(seeds), k+1) array whose row i is keyed by seeds[i] alone."""
+    return sample_top if isinstance(dist, Pareto) else sample_top_renyi
 
 
 # the largest pool measured: 2 threads halved Pareto mc's time on 2 CPUs (n = 1e5, 200 reps)
@@ -153,7 +149,7 @@ MAX_THREADS = 2
 
 def _pool_size(n, blocks):
     """Threads for Pareto's blocks (inline below 2): no more than ``MAX_THREADS``, the blocks,
-    this process's CPUs, or the ``sample_top`` calls whose 8n bytes fit in free memory."""
+    this process's CPUs, or the samples whose 8n bytes of raw words fit in free memory."""
     try:
         cpus = len(os.sched_getaffinity(0))
         free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -239,8 +235,8 @@ def run_experiment(config):
                 f"is {tau}, not a positive finite float"
             )
 
-    ladders = np.empty((config.reps, config.pmax))
-    thresholds = np.empty(config.reps)
+    ladders = _allocate((config.reps, config.pmax), f"ladders for reps = {config.reps}")
+    thresholds = _allocate((config.reps,), f"thresholds for reps = {config.reps}")
     blocks = range(0, config.reps, BLOCK)
 
     def fill(lo):
@@ -248,7 +244,7 @@ def run_experiment(config):
         ladders[lo:hi], thresholds[lo:hi] = _sample_ladders(config, lo, hi)
 
     threads = _pool_size(config.n, len(blocks))
-    if _block_sampler(config.dist) is not _sample_top_rows or threads < 2:
+    if _block_sampler(config.dist) is not sample_top or threads < 2:
         for lo in blocks:
             fill(lo)
     else:

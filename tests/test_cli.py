@@ -302,7 +302,9 @@ class TestReadObservations:
     @given(text=_data_texts(), block=st.sampled_from([1, 3, 7, 1 << 16]))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_line_parser(self, tmp_path_factory, text, block):
-        path = tmp_path_factory.getbasetemp() / "property-obs.txt"
+        # a fresh file per example: rewriting one path for every example
+        # took over ten times as long
+        path = tmp_path_factory.mktemp("obs") / "property-obs.txt"
         path.write_bytes(text.encode("utf-8"))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli_mod, "_READ_BLOCK", block)
@@ -585,9 +587,7 @@ class TestMonteCarloCommand:
         assert time.perf_counter() - start <= 10.0
         assert json.loads(out)["report"]["n"] == 10**9
         # the refusal is live: the same run routed to Pareto's rows reaches it
-        monkeypatch.setattr(
-            montecarlo_mod, "_block_sampler", lambda dist: montecarlo_mod._sample_top_rows
-        )
+        monkeypatch.setattr(montecarlo_mod, "_block_sampler", lambda _: montecarlo_mod.sample_top)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_RUNTIME, "")
         assert "the O(n) sampler ran at n = 1e9" in err
@@ -616,6 +616,28 @@ class TestMonteCarloCommand:
             assert err.count("\n") == 1
             assert f"n = {n}" in err and f"{8 * n} bytes" in err
             assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--dist", "stretched", "--n", "1000", "--k", "10", "--reps", str(10**30)],
+             f"{16 * 10**30} bytes of ladders for reps = {10**30}"),
+            (["--dist", "stretched", "--n", str(10**20), "--k", str(10**19), "--reps", "2"],
+             f"{16 * (10**19 + 1)} bytes of 2 rows of top order statistics at k = {10**19}"),
+            (["--dist", "power", "--gamma", "1.5", "--n", str(10**20), "--k", str(10**19),
+              "--reps", "2"], f"bytes of 2 rows of top order statistics at k = {10**19}"),
+            (["--dist", "pareto", "--n", str(10**20), "--k", str(10**19), "--reps", "2"],
+             f"bytes of 2 rows of top order statistics at k = {10**19}"),
+        ],
+    )
+    def test_unallocatable_run_arrays(self, capsys, argv, message):
+        # numpy refuses these sizes as array sizes before it allocates
+        # anything; no size that could really be allocated is tried here
+        code, out, err = run_cli(capsys, "mc", *argv, "--pmax", "2", "--seed", "1")
+        assert code == EXIT_PARAMS
+        assert err.startswith("error: cannot allocate the ") and err.count("\n") == 1
+        assert message in err
+        assert out == ""
 
     def test_workers_must_be_positive(self, capsys):
         code, out, err = run_cli(capsys, *self.ARGS, "--workers", "0")

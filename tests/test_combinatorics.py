@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tailsum import (
-    Composition,
     DomainError,
     NumberTable,
     compositions,
@@ -261,8 +260,8 @@ class TestCovarianceNumbers:
 
 class TestCompositions:
     def test_examples(self):
-        assert [c.parts for c in compositions(3, 2)] == [(1, 2), (2, 1)]
-        assert [c.parts for c in compositions(4, 1)] == [(4,)]
+        assert compositions(3, 2) == [(1, 2), (2, 1)]
+        assert compositions(4, 1) == [(4,)]
         assert len(compositions(5, 3)) == 6
 
     @given(p=st.integers(1, 12), data=st.data())
@@ -271,12 +270,14 @@ class TestCompositions:
         out = compositions(p, h)
         assert len(out) == math.comb(p - 1, h - 1)
         for comp in out:
-            assert comp.total == p
+            assert type(comp) is tuple
+            assert all(type(s) is int and s >= 1 for s in comp)
+            assert sum(comp) == p
             assert len(comp) == h
 
     def test_lexicographic_order(self):
         for p, h in [(6, 3), (7, 2), (5, 4)]:
-            parts = [c.parts for c in compositions(p, h)]
+            parts = compositions(p, h)
             assert parts == sorted(parts)
 
     def test_errors(self):
@@ -284,8 +285,6 @@ class TestCompositions:
             compositions(3, 0)
         with pytest.raises(DomainError):
             compositions(3, 4)
-        with pytest.raises(DomainError):
-            Composition((1, 0, 2))
 
 
 class TestLatticePaths:

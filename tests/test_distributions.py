@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -178,14 +179,41 @@ class TestTopSampler:
             n = (10, 257, 3000)[seed % 3]
             for k in (1, 2, n // 7, n // 3, n // 2, n - 1):
                 full = sample_iid(dist, seed, n).values
-                assert np.array_equal(sample_top(dist, seed, n, k), full[n - k - 1 :])
+                assert np.array_equal(sample_top(dist, [seed], n, k)[0], full[n - k - 1 :])
 
     @pytest.mark.parametrize("dist", TOP_DISTS)
     def test_matches_at_acceptance_scale(self, dist):
         n, k = 100_000, 1000
         for seed in (0, 20260810):
             full = sample_iid(dist, seed, n).values
-            assert np.array_equal(sample_top(dist, seed, n, k), full[n - k - 1 :])
+            assert np.array_equal(sample_top(dist, [seed], n, k)[0], full[n - k - 1 :])
+
+    @pytest.mark.parametrize("dist", TOP_DISTS)
+    def test_block_rows_match_full_samples(self, dist):
+        # row i of a block is the top of the full sample keyed by seeds[i];
+        # permuted or repeated seeds give permuted or repeated rows
+        n, k = 3000, 150
+        seeds = [0, 37, 20260810, 2**64 - 1, 11]
+        rows = sample_top(dist, seeds, n, k)
+        assert rows.shape == (len(seeds), k + 1)
+        assert rows.flags.c_contiguous
+        for seed, row in zip(seeds, rows):
+            assert np.array_equal(row, sample_iid(dist, seed, n).values[n - k - 1 :]), seed
+        again = sample_top(dist, [seeds[3], seeds[0], seeds[3]], n, k)
+        assert np.array_equal(again, rows[[3, 0, 3]])
+
+    def test_block_holds_one_sample_of_words_at_a_time(self):
+        # each of mc's threads draws blocks; the pool is sized by the 8n
+        # bytes of one sample's raw words per thread
+        n, k = 200_000, 10
+        sample_top(Pareto(1.0), [0], n, k)  # warm-up
+        tracemalloc.start()
+        try:
+            sample_top(Pareto(1.0), range(4), n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n, peak
 
     def test_raw_words_convert_as_random(self):
         # sample_top converts raw words itself; if numpy ever maps Philox
@@ -201,7 +229,7 @@ class TestTopSampler:
     def test_window_rejected(self):
         for n, k in [(10, 0), (10, 10), (10, 11)]:
             with pytest.raises(DomainError):
-                sample_top(Pareto(1.0), 1, n, k)
+                sample_top(Pareto(1.0), [1], n, k)
 
     def test_unallocatable_sample_rejected(self):
         # the 8e15 bytes of words fail at allocation, before any memory is
@@ -209,7 +237,7 @@ class TestTopSampler:
         # array size; no size that could really be allocated is tried here
         for n in (10**15, 5 * 10**18, 10**20):
             with pytest.raises(DomainError, match=rf"{8 * n} bytes .* n = {n}$"):
-                sample_top(Pareto(1.0), 1, n, 1000)
+                sample_top(Pareto(1.0), [1], n, 1000)
 
 
 def top_features(top, pmax=3):
@@ -217,6 +245,16 @@ def top_features(top, pmax=3):
     k = top.size - 1
     ladder = sum_product_ladder(SortedSample(top), TailWindow(k + 1, k, 0), pmax)
     return [top[0], top[-1], *ladder]
+
+
+@pytest.mark.parametrize("sampler", [sample_top, sample_top_renyi])
+def test_unallocatable_block_rejected(sampler):
+    # a block of k+1 = 1e19 + 1 columns exceeds numpy's largest array, which
+    # numpy refuses before it allocates anything
+    n, k = 10**20, 10**19
+    message = rf"{24 * (k + 1)} bytes of 3 rows of top order statistics at k = {k}$"
+    with pytest.raises(DomainError, match=message):
+        sampler(StretchedTail(), [1, 2, 3], n, k)
 
 
 class TestRenyiSampler:
@@ -244,7 +282,7 @@ class TestRenyiSampler:
             rng = tailsum.distributions._philox("top", seed)
             sums = np.cumsum(rng.standard_exponential(k + 1))
             q = sums / (sums[-1] + rng.standard_gamma(n - k))
-            top = sample_top_renyi(dist, seed, n, k)
+            top = sample_top_renyi(dist, [seed], n, k)[0]
             assert top.shape == (k + 1,)
             assert np.all(np.diff(top) >= 0)
             assert np.allclose(dist.tail(top), q[::-1], rtol=1e-12, atol=0)
@@ -255,7 +293,7 @@ class TestRenyiSampler:
         # uniforms, Beta(k+1, n-k); that of Y_(n,n) the smallest, Beta(1, n).
         # Survivals come from the raw-scale cdf, not from dist.tail
         n, k, reps = 100_000, 1000, 2000
-        tops = [sample_top_renyi(dist, seed, n, k) for seed in range(reps)]
+        tops = sample_top_renyi(dist, range(reps), n, k)
         threshold = [1.0 - cdf(dist, math.exp(top[0])) for top in tops]
         maximum = [1.0 - cdf(dist, math.exp(top[-1])) for top in tops]
         assert stats.kstest(threshold, stats.beta(k + 1, n - k).cdf).pvalue >= 0.01
@@ -266,8 +304,8 @@ class TestRenyiSampler:
         # two-sample KS against sample_top, whose streams are independent of
         # the O(k) sampler's for the same seeds
         n, k, reps = 100_000, 1000, 1000
-        renyi = np.array([top_features(sample_top_renyi(dist, seed, n, k)) for seed in range(reps)])
-        full = np.array([top_features(sample_top(dist, seed, n, k)) for seed in range(reps)])
+        renyi = np.array([top_features(top) for top in sample_top_renyi(dist, range(reps), n, k)])
+        full = np.array([top_features(top) for top in sample_top(dist, range(reps), n, k)])
         for name, a, b in zip(["threshold", "maximum", "T_1", "T_2", "T_3"], renyi.T, full.T):
             assert stats.ks_2samp(a, b).pvalue >= 0.01, name
 
@@ -279,7 +317,7 @@ class TestRenyiSampler:
         # per seed followed by the one-row cumulative sum, division, tail
         # quantile and reversal.  At n = 1e15 every PowerEndpoint(0.5) value
         # rounds onto the endpoint, so there the rows cannot differ
-        from tailsum.distributions import _philox, _top_renyi_rows
+        from tailsum.distributions import _philox
 
         def reference(seed):
             rng = _philox("top", seed)
@@ -288,31 +326,31 @@ class TestRenyiSampler:
             return dist._y_tail_quantile(q)[::-1]
 
         seeds = [0, 1, 37, 20260810, 2**63 + 5, 2**64 - 1, 11]
-        rows = _top_renyi_rows(dist, seeds, n, k)
+        rows = sample_top_renyi(dist, seeds, n, k)
         assert rows.shape == (len(seeds), k + 1)
         assert rows.flags.c_contiguous
         for seed, row in zip(seeds, rows):
             assert np.array_equal(row, reference(seed)), seed
-            assert np.array_equal(sample_top_renyi(dist, seed, n, k), row), seed
+            assert np.array_equal(sample_top_renyi(dist, [seed], n, k)[0], row), seed
         # permuted seeds give permuted rows, so no state carries from a row
         # to the next; a repeated seed gives equal rows
         order = [6, 2, 0, 5, 1, 4, 3]
-        assert np.array_equal(_top_renyi_rows(dist, [seeds[i] for i in order], n, k), rows[order])
-        again = _top_renyi_rows(dist, [seeds[3], seeds[3], seeds[1], seeds[3]], n, k)
+        assert np.array_equal(sample_top_renyi(dist, [seeds[i] for i in order], n, k), rows[order])
+        again = sample_top_renyi(dist, [seeds[3], seeds[3], seeds[1], seeds[3]], n, k)
         assert np.array_equal(again, rows[[3, 3, 1, 3]])
 
     def test_cost_does_not_grow_with_n(self):
         # sample_top would need 8e15 bytes here
         for dist in TOP_DISTS:
-            top = sample_top_renyi(dist, 1, 10**15, 1000)
-            assert top.shape == (1001,)
+            top = sample_top_renyi(dist, [1], 10**15, 1000)
+            assert top.shape == (1, 1001)
             assert np.all(np.isfinite(top))
             assert np.all(np.diff(top) >= 0)
 
     def test_window_rejected(self):
         for n, k in [(10, 0), (10, 10), (10, 11)]:
             with pytest.raises(DomainError):
-                sample_top_renyi(StretchedTail(), 1, n, k)
+                sample_top_renyi(StretchedTail(), [1], n, k)
 
 
 class TestIteratedTailIntegral:

@@ -14,10 +14,8 @@ from tailsum import (
     index_estimate,
     log_transform,
     spacings,
-    sum_product,
     sum_product_enum,
     sum_product_ladder,
-    tail_index,
 )
 
 C = math.log(2.0)
@@ -114,24 +112,24 @@ class TestHill:
     # Hill's statistic is the order-1 sum-product statistic
     def test_equal_spacing(self, equal_spacing):
         s, w = equal_spacing
-        assert sum_product(s, w, 1) == pytest.approx(2 * C, abs=1e-15)
+        assert sum_product_ladder(s, w, 1)[0] == pytest.approx(2 * C, abs=1e-15)
         assert sum_product_enum(s, w, 1) == pytest.approx(2 * C, abs=1e-15)
 
     def test_arithmetic_sample(self):
         s, w = SortedSample(np.arange(10.0)), TailWindow(10, 3, 0)
-        assert sum_product(s, w, 1) == pytest.approx(2.0, abs=1e-15)
+        assert sum_product_ladder(s, w, 1)[0] == pytest.approx(2.0, abs=1e-15)
         assert sum_product_enum(s, w, 1) == pytest.approx(2.0, abs=1e-15)
 
     def test_positive_l_drops_low_terms(self):
         s, w = SortedSample(np.arange(10.0)), TailWindow(10, 3, 1)
         # l=1 drops the j=1 term: (2 + 3)/3
-        assert sum_product(s, w, 1) == pytest.approx(5.0 / 3.0, abs=1e-15)
+        assert sum_product_ladder(s, w, 1)[0] == pytest.approx(5.0 / 3.0, abs=1e-15)
         assert sum_product_enum(s, w, 1) == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_order_one_statistic_is_hill(self, equal_spacing):
         s, w = equal_spacing
         hill = spacing_weighted_hill(s, w)
-        assert sum_product(s, w, 1) == pytest.approx(hill, abs=1e-15)
+        assert sum_product_ladder(s, w, 1)[0] == pytest.approx(hill, abs=1e-15)
         assert sum_product_enum(s, w, 1) == pytest.approx(hill, abs=1e-15)
 
 
@@ -139,13 +137,13 @@ class TestSumProduct:
     def test_equal_spacing_order_two(self, equal_spacing):
         s, w = equal_spacing
         expected = 7 * C * C / 3
-        assert sum_product(s, w, 2) == pytest.approx(expected, rel=1e-14)
+        assert sum_product_ladder(s, w, 2)[1] == pytest.approx(expected, rel=1e-14)
         assert sum_product_enum(s, w, 2) == pytest.approx(expected, rel=1e-14)
 
     def test_invalid_order(self, equal_spacing):
         s, w = equal_spacing
         with pytest.raises(DomainError):
-            sum_product(s, w, 0)
+            sum_product_ladder(s, w, 0)
         with pytest.raises(DomainError):
             sum_product_enum(s, w, 0)
 
@@ -155,7 +153,7 @@ class TestSumProduct:
         for trial in range(60):
             p = int(rng.integers(1, 6))
             s, w = random_case(rng, max_window=caps[p], force_l0=(trial % 2 == 0))
-            fast = sum_product(s, w, p)
+            fast = sum_product_ladder(s, w, p)[p - 1]
             naive = sum_product_enum(s, w, p)
             assert abs(fast - naive) <= 1e-10 * max(1.0, abs(fast))
 
@@ -163,7 +161,7 @@ class TestSumProduct:
         s = SortedSample(np.ones(8))
         w = TailWindow(8, 5, 0)
         for p in (1, 2, 3):
-            assert sum_product(s, w, p) == 0.0
+            assert sum_product_ladder(s, w, p)[p - 1] == 0.0
             assert sum_product_enum(s, w, p) == 0.0
 
     def test_enumeration_budget(self):
@@ -179,8 +177,8 @@ class TestSumProduct:
         s, w = random_case(rng, max_window=20)
         shifted = SortedSample(s.values + shift)
         for p in (1, 2, 3):
-            assert sum_product(shifted, w, p) == pytest.approx(
-                sum_product(s, w, p), rel=1e-8, abs=1e-12
+            assert sum_product_ladder(shifted, w, p)[p - 1] == pytest.approx(
+                sum_product_ladder(s, w, p)[p - 1], rel=1e-8, abs=1e-12
             )
 
     @given(scale=st.floats(0.1, 10, allow_nan=False), seed=st.integers(0, 50))
@@ -190,8 +188,8 @@ class TestSumProduct:
         s, w = random_case(rng, max_window=20)
         scaled = SortedSample(s.values * scale)
         for p in (1, 2, 3):
-            assert sum_product(scaled, w, p) == pytest.approx(
-                scale**p * sum_product(s, w, p), rel=1e-10
+            assert sum_product_ladder(scaled, w, p)[p - 1] == pytest.approx(
+                scale**p * sum_product_ladder(s, w, p)[p - 1], rel=1e-10
             )
 
     @given(seed=st.integers(0, 200))
@@ -200,7 +198,7 @@ class TestSumProduct:
         rng = np.random.default_rng(seed)
         s, w = random_case(rng, max_window=25)
         for p in (1, 2, 4):
-            t = sum_product(s, w, p)
+            t = sum_product_ladder(s, w, p)[p - 1]
             assert t >= 0.0
             assert (t == 0.0) == np.all(spacings(s, w) == 0.0)
 
@@ -227,11 +225,12 @@ class TestLadder:
         assert all(math.isfinite(t) and t >= 0.0 for t in ladder)
 
     def test_entries_match_individual_calls(self):
+        # entry p-1 is the order-p statistic whatever pmax
         rng = np.random.default_rng(99)
         s, w = random_case(rng)
         ladder = sum_product_ladder(s, w, 5)
         for p in range(1, 6):
-            assert ladder[p - 1] == sum_product(s, w, p)
+            assert ladder[p - 1] == sum_product_ladder(s, w, p)[p - 1]
 
 
 class TestBatchedLadder:
@@ -272,29 +271,31 @@ class TestTailIndex:
         # scale a sample so the order-2 statistic is exactly 0.25
         s = SortedSample(np.array([0.0, 1.0, 2.0, 3.0]))
         w = TailWindow(4, 2, 0)
-        t = sum_product(s, w, 2)
+        t = sum_product_ladder(s, w, 2)[1]
         quarter = SortedSample(s.values * math.sqrt(0.25 / t))
-        assert sum_product(quarter, w, 2) == pytest.approx(0.25, rel=1e-12)
-        assert tail_index(quarter, w, 2) == pytest.approx(2.0, rel=1e-12)
+        t = sum_product_ladder(quarter, w, 2)[1]
+        assert t == pytest.approx(0.25, rel=1e-12)
+        assert index_estimate(t, 2) == pytest.approx(2.0, rel=1e-12)
 
     def test_unit_statistic(self):
         # scale the sample so the order-2 statistic is exactly 1
         s = SortedSample(np.array([0.0, 1.0, 2.0, 3.0]))
         w = TailWindow(4, 2, 0)
-        t = sum_product(s, w, 2)
+        t = sum_product_ladder(s, w, 2)[1]
         scaled = SortedSample(s.values / math.sqrt(t))
-        assert tail_index(scaled, w, 2) == pytest.approx(1.0, rel=1e-12)
+        t = sum_product_ladder(scaled, w, 2)[1]
+        assert index_estimate(t, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_window(self):
         s = SortedSample(np.ones(5))
         with pytest.raises(UndefinedEstimateError):
-            tail_index(s, TailWindow(5, 3, 0), 1)
+            index_estimate(sum_product_ladder(s, TailWindow(5, 3, 0), 1)[0], 1)
 
     def test_overflowing_estimate(self):
         # the order-1 statistic is 5e-321, whose reciprocal is not a float
         s = SortedSample([0.0, 0.0, 1e-320])
         with pytest.raises(UndefinedEstimateError):
-            tail_index(s, TailWindow(3, 2, 0), 1)
+            index_estimate(sum_product_ladder(s, TailWindow(3, 2, 0), 1)[0], 1)
 
     def test_index_estimate_of_a_value(self):
         assert index_estimate(0.25, 2) == pytest.approx(2.0, rel=1e-15)

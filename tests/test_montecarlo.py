@@ -197,6 +197,15 @@ class TestExperimentConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("dist", [Pareto(1.0), StretchedTail()])
+    def test_unallocatable_run_rejected(self, dist):
+        # numpy refuses 1e30 rows as an array size before it allocates
+        # anything; no size that could really be allocated is tried here
+        reps = 10**30
+        message = rf"{8 * 3 * reps} bytes of ladders for reps = {reps}$"
+        with pytest.raises(DomainError, match=message):
+            run_experiment(ExperimentConfig(dist, 1000, 10, 0, 3, reps, 1))
+
     def test_deterministic_across_workers(self, monkeypatch):
         # Pareto's blocks share up to one thread per CPU, so the CPU count
         # sets the number of threads
@@ -286,7 +295,7 @@ class TestRunExperiment:
                 sample = sample_iid(dist, rep_seed(seed, rep), n)
                 ladder = sum_product_ladder(sample, window, pmax)
             else:
-                sample = SortedSample(sample_top_renyi(dist, rep_seed(seed, rep), n, k))
+                sample = SortedSample(sample_top_renyi(dist, [rep_seed(seed, rep)], n, k)[0])
                 ladder = sum_product_ladder(sample, TailWindow(k + 1, k, l), pmax)
             threshold = float(sample.values[-k - 1])
             center = taus if centering == "fixed" else tau_p_at(dist, pmax, window, threshold)
@@ -347,7 +356,7 @@ class TestRunExperiment:
         (got_dist, got_pmax, got_window, thresholds), centers = calls[0]
         assert (got_dist, got_pmax, got_window) == (dist, pmax, window)
         sampler = sample_top if isinstance(dist, Pareto) else sample_top_renyi
-        expected = [sampler(dist, rep_seed(seed, rep), n, k)[0] for rep in range(reps)]
+        expected = sampler(dist, [rep_seed(seed, rep) for rep in range(reps)], n, k)[:, 0]
         assert np.array_equal(thresholds, expected)
         assert bool(quadratures) == falls_back
         blocks = [tau_p_at(dist, pmax, window, thresholds[lo : lo + BLOCK])
