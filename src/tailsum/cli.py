@@ -276,8 +276,6 @@ def cmd_tables(args):
 
 def cmd_covariance(args):
     domain = DomainKind(args.domain, args.gamma)
-    if not (1 <= args.pmax <= 8):
-        raise DomainError(f"--pmax must lie in [1, 8], got {args.pmax}")
     model = CovarianceModel.build(domain, args.pmax)
     matrix = model.reduced_matrix() if args.reduced else model.sigma
     manifest = _manifest(args)

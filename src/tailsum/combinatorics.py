@@ -223,7 +223,16 @@ class NumberTable:
         return cls(family, tau, vmax, dmax, entries)
 
     def value(self, v, c):
-        return self.entries[(v, c)]
+        return self._cells(v, [c])[0]
 
     def row(self, v):
-        return [self.entries[(v, c)] for c in range(1, self.dmax + 1)]
+        return self._cells(v, range(1, self.dmax + 1))
+
+    def _cells(self, v, columns):
+        try:
+            return [self.entries[(v, c)] for c in columns]
+        except KeyError as missing:
+            raise DomainError(
+                f"cell (v, column) = {missing.args[0]} lies outside the {self.family} table, "
+                f"whose v lies in [0, {self.vmax}] and column in [1, {self.dmax}]"
+            ) from None

@@ -21,8 +21,8 @@ non-negative.  m_p is the p-fold iterated integral of the log-scale
 survival function from a threshold up to the support end; the centering
 sequence is tau_p = (n/k) m_p evaluated at the window threshold.  Each
 family has one route, which yields m_1 .. m_pmax at an array of thresholds
-in one call: Pareto a closed form; PowerEndpoint a Gauss-Jacobi rule
-checked against the rule with half its nodes; and StretchedTail, where
+in one call: Pareto a closed form; PowerEndpoint a Gauss-Jacobi rule in
+logs, checked against the rule with half its nodes; and StretchedTail, where
 m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun 7.2), one pass of
 Miller's backward recurrence for the scaled e^(x^2) i^n erfc(x), checked
 against the same pass started twice as deep (Gautschi, SIAM Rev. 1967).
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the three functions that use it (_jacobi_rule,
-# _scaled_iterated_erfc, m_p_quadrature): loading scipy.special and
-# scipy.integrate takes most of the package's startup time, and estimate,
-# tables, covariance, oracle and Pareto mc never call them
+# scipy is imported inside the two functions that use it (StretchedTail's
+# _scaled_iterated_erfc, and m_p_quadrature, which PowerEndpoint reaches only
+# on a fallback): loading it takes most of the package's startup time, and
+# estimate, tables, covariance, oracle and Pareto mc never call them
 
 from .errors import DomainError
 from .estimators import SortedSample
@@ -178,25 +178,28 @@ class PowerEndpoint:
                      for lo in range(0, flat.size, _RULE_SLICE)]
             return tuple(np.concatenate(part).reshape(xs.shape + (pmax,)) for part in zip(*parts))
         # t = x + h(1+u) puts the tail at s = h(1-u) from the endpoint, where
-        # it is (x0 (1-e^-s)/(x0-1))^gamma: (1-u)^gamma times a factor
-        # analytic on [-1, 1], so Gauss-Jacobi with weight (1-u)^gamma fits;
-        # one row of nodes per threshold, shared by every order
+        # it is (x0 (1-e^-s)/(x0-1))^gamma: ((1-u)/2)^gamma times a factor
+        # analytic on [-1, 1], so Gauss-Jacobi with that weight fits; one row
+        # of nodes per threshold, shared by every order.  Weight and factor
+        # form one log term, scaled by its row's largest, and h^p / (p-1)!
+        # joins in logs, so a value is finite wherever m_p is; the halved
+        # (1-u) leaves no 2^gamma for the two to cancel at a loss of digits
         h = 0.5 * (self.y_end - xs)
-        orders = range(1, pmax + 1)
         values = []
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            # h^p / (p-1)! in logs, so it is finite wherever m_p is
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             log_h = np.log(h)
-            lead = np.stack([np.exp(p * log_h - math.lgamma(p)) for p in orders], axis=-1)
             for nodes in (64, 128):
-                u, w = _jacobi_rule(self.gamma, nodes)
+                u, log_w = _jacobi_rule(self.gamma, nodes)
                 s = h[..., None] * (1.0 - u)
-                factor = (self.x0 * -np.expm1(-s) / ((self.x0 - 1.0) * (1.0 - u))) ** self.gamma
-                sums = [(w * (1.0 + u) ** (p - 1) * factor).sum(axis=-1) for p in orders]
-                values.append(lead * np.stack(sums, axis=-1))
+                factor = self.x0 * -np.expm1(-s) / ((self.x0 - 1.0) * 0.5 * (1.0 - u))
+                terms = log_w + self.gamma * np.log(factor)
+                top = terms.max(axis=-1, keepdims=True)
+                scaled = np.exp(terms - top)
+                logs = [p * log_h - math.lgamma(p) + np.log((scaled * (1.0 + u) ** (p - 1)).sum(axis=-1))
+                        for p in range(1, pmax + 1)]
+                values.append(np.exp(top + np.stack(logs, axis=-1)))
         coarse, fine = values
         # the check fails where no fixed rule fits (extreme gamma * ln(x0))
-        # and where the weights overflow (gamma beyond about 1000)
         return fine, _passes(coarse, fine)
 
 
@@ -207,16 +210,25 @@ _RULE_SLICE = 1024
 
 @functools.lru_cache(maxsize=32)
 def _jacobi_rule(gamma, nodes):
-    """Gauss-Jacobi nodes and weights for the weight (1-u)^gamma on [-1, 1];
-    the weights overflow (to inf) for gamma beyond about 1000, and beyond
-    about 1e200, where scipy cannot form the rule, both are NaN."""
-    from scipy.special import roots_jacobi
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return roots_jacobi(nodes, gamma, 0.0)
-        except ValueError:  # scipy's eigensolver meets infs or NaNs
-            return np.full(nodes, np.nan), np.full(nodes, np.nan)
+    """Gauss-Jacobi nodes and log weights for the weight ((1-u)/2)^gamma on
+    [-1, 1] (Golub & Welsch, Math. Comp. 1969): the eigenvalues of the Jacobi
+    matrix, its entries formed to stay finite at any gamma, and the weights
+    mu0 / sum_m q_m(u)^2, mu0 = 2/(gamma+1), over the orthonormal q_m of the
+    three-term recurrence, its scale taken out in powers of two.  At
+    gamma = 1e300 the off-diagonal rounds to 0 and the weights are NaN."""
+    s = 2.0 * np.arange(nodes) + gamma
+    diag = -(gamma / s) * (gamma / (s + 2.0))
+    j, s = np.arange(1, nodes), s[1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        off = 2.0 * (j / s) * (j + gamma) / np.sqrt(s * s - 1.0)
+        u = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        prev, q, total, exponent = np.zeros(nodes), np.ones(nodes), np.ones(nodes), 0
+        for m in range(nodes - 1):
+            prev, q = q, ((u - diag[m]) * q - (off[m - 1] * prev if m else 0.0)) / off[m]
+            _, e = np.frexp(np.maximum(np.abs(q), np.abs(prev)))
+            prev, q = np.ldexp(prev, -e), np.ldexp(q, -e)
+            total, exponent = np.ldexp(total, -2 * e) + q * q, exponent + e
+        return u, math.log(2.0) - math.log1p(gamma) - np.log(total) - (2.0 * math.log(2.0)) * exponent
 
 
 @dataclass(frozen=True)

@@ -485,6 +485,16 @@ class TestCovariance:
         payload = json.loads(out)
         assert payload["matrix"][0][0] == pytest.approx(4 / 3, rel=1e-14)
 
+    def test_order_cap_is_the_models(self, capsys):
+        # the command takes the orders estimate and mc take, up to 514
+        code, out, _ = run_cli(capsys, "covariance", "--domain", "frechet", "--pmax", "9")
+        assert code == EXIT_OK
+        assert json.loads(out)["matrix"][8][8] == 48620.0
+        for pmax, message in (("515", "at most 514"), ("0", ">= 1")):
+            code, out, err = run_cli(capsys, "covariance", "--domain", "frechet", "--pmax", pmax)
+            assert (code, out) == (EXIT_PARAMS, "")
+            assert message in err
+
     def test_model_commands_skip_the_number_route(self, capsys, monkeypatch, datafile):
         # the model comes from the binomial; the number tables are its oracle
         def refuse(*args, **kwargs):

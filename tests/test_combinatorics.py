@@ -347,6 +347,15 @@ class TestNumberTable:
             (v, c): scalar(v, c) for v in range(vmax + 1) for c in range(1, cols + 1)
         }
 
+    def test_cells_outside_the_table_raise(self):
+        # a type II table keeps dmax = min(dmax, tau) columns
+        table = NumberTable.build("type_ii", 3, 5, tau=2)
+        with pytest.raises(DomainError, match=r"\(0, 5\).*type_ii.*\[0, 3\].*\[1, 2\]"):
+            table.value(0, 5)
+        with pytest.raises(DomainError, match=r"\(9, 1\) lies outside"):
+            table.row(9)
+        assert table.value(3, 2) == type_ii(2, 3, 2)
+
     def test_errors(self):
         with pytest.raises(DomainError):
             NumberTable.build("type_ii", 3, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -353,6 +354,42 @@ class TestRenyiSampler:
                 sample_top_renyi(StretchedTail(), [1], n, k)
 
 
+class UniformDraws:
+    """A stub family whose quantiles are the identity, so the samplers return
+    their uniform or survival draws themselves: Philox-keyed draws and exact
+    IEEE sums and quotients, never np.log or np.exp output, which may differ
+    in the last bit between CPUs."""
+
+    _y_quantile = _y_tail_quantile = staticmethod(np.copy)
+
+
+# SHA-256 of the little-endian float64 bytes of each draw.  At n = 10 and
+# k = 9 the Gamma(n-k) variate takes numpy's shape-1 path, elsewhere its
+# Marsaglia-Tsang path
+STREAM_DIGESTS = [
+    ("sample_iid", lambda: sample_iid(UniformDraws(), 7, 64).values,
+     "6b5068d4588248ffd0bc7b5e253bd9bd149ae3205abb21315b85591c5852fce5"),
+    ("sample_iid", lambda: sample_iid(UniformDraws(), 20260810, 1000).values,
+     "b707637cc4adaf8124e743e952eb49c28fb6a033d60649068181d24621449fcb"),
+    ("sample_top", lambda: sample_top(UniformDraws(), [0, 1, 37], 257, 16),
+     "e3aead3deda4725be67b689eac5ba0b90ee2002642d238594d163dcf47a35e02"),
+    ("sample_top_renyi", lambda: sample_top_renyi(UniformDraws(), [0, 1, 37], 3000, 150),
+     "e8d333dbbc9cbe0a5a3e02b4e695aa0a74c79d365d4c7ded6a051ed30edfeb88"),
+    ("sample_top_renyi", lambda: sample_top_renyi(UniformDraws(), [5, 2**64 - 1], 10, 9),
+     "094d8c5b9bddcce65160d229146ffc01abe2eafe63b4eba481167a0d18f22d0b"),
+    ("sample_top_renyi", lambda: sample_top_renyi(UniformDraws(), [2**64 - 1], 10**15, 100),
+     "e5bfb58f4a86100be608fe14b46c2b86b8416fcf7c3ef9f06171450a52f6cf9c"),
+]
+
+
+@pytest.mark.parametrize("name, draw, digest", STREAM_DIGESTS)
+def test_sampler_streams_are_pinned(name, draw, digest):
+    # every report's numbers follow from these streams, so a numpy release
+    # that draws differently fails here rather than shifting reports silently
+    got = hashlib.sha256(np.asarray(draw(), dtype="<f8").tobytes()).hexdigest()
+    assert got == digest, f"the {name} stream changed under numpy {np.__version__}"
+
+
 class TestIteratedTailIntegral:
     def test_pareto_closed_form(self):
         assert m_p_value(Pareto(1.0), 2, 0.0) == pytest.approx(1.0, rel=1e-14)
@@ -420,6 +457,20 @@ class TestIteratedTailIntegral:
         value = m_p_value(dist, 1, 0.0)
         assert math.isfinite(value) and value > 0.0
         assert value == pytest.approx(dist.y_end / 1001.0, rel=1e-5, abs=0.0)
+
+    def test_endpoint_huge_shape_series(self, quadrature_calls):
+        # with eps = x0 - 1, e^t = 1 + t + t^2/2 + ... gives
+        # m_p(0) = eps^p G(gamma+1)/G(gamma+p+1) (1 - p(p+1) eps/(2(p+gamma+1)))
+        # up to O(eps^2) relative; the rule serves every element
+        for gamma in (1000.0, 3000.0):
+            for eps in (1e-9, 1e-7):
+                dist = PowerEndpoint(gamma, 1.0 + eps)
+                eps = dist.x0 - 1.0
+                for p in range(1, 9):
+                    log_lead = p * math.log(eps) + math.lgamma(gamma + 1) - math.lgamma(gamma + p + 1)
+                    series = math.exp(log_lead) * (1.0 - p * (p + 1) * eps / (2.0 * (p + gamma + 1)))
+                    assert m_p_value(dist, p, 0.0) == pytest.approx(series, rel=1e-10, abs=0.0)
+        assert quadrature_calls == []
 
     def test_endpoint_unit_shape_higher_orders(self):
         for x0 in (1.5, 2.0, 10.0):
@@ -611,8 +662,9 @@ class TestThresholdArrays:
                 assert value == (w.n / w.k) * m_p_quadrature(dist, p, x)
 
     def test_unformable_rule_falls_back(self, quadrature_calls):
-        # scipy cannot form the Jacobi rule at gamma = 1e300, so every
-        # element takes the quadrature
+        # at gamma = 1e300 the Jacobi matrix is -1 on the diagonal and 0 off
+        # it, so the rule's weights are NaN and every element takes the
+        # quadrature
         power = PowerEndpoint(1e300)
         xs = np.array([0.0, 0.5]) * power.y_end
         values = m_p_value(power, 1, xs)

@@ -1,6 +1,7 @@
-"""scipy is imported at first use, inside the three numeric routes that call
-it: StretchedTail's erfcx, PowerEndpoint's Jacobi rule (both scipy.special)
-and the quad fallback (scipy.integrate).  pytest's own warning filter
+"""scipy is imported at first use, inside the two numeric routes that call
+it: StretchedTail's erfcx (scipy.special) and the quad fallback
+(scipy.integrate).  PowerEndpoint's Jacobi rule is numpy's alone, so a power
+mc that never falls back loads no scipy module.  pytest's own warning filter
 imports scipy.integrate into this process, so each check runs a fresh
 interpreter."""
 
@@ -54,7 +55,7 @@ FOOTPRINT = """
     import tailsum.cli as cli
 
     def loaded():
-        return [m for m in ("scipy.special", "scipy.integrate") if m in sys.modules]
+        return [m for m in ("scipy.special", "scipy.integrate", "scipy.linalg") if m in sys.modules]
 
     with open("obs.txt", "w") as f:
         f.write("\\n".join(str(2.0 ** (i / 7)) for i in range(1, 200)))
@@ -69,6 +70,7 @@ FOOTPRINT = """
         "oracle": ["oracle", "2", "3", "--grid", "64"],
         "mc-pareto": ["mc", "--dist", "pareto", *%(mc)r, "--workers", "2"],
         "mc-pareto-reduced": ["mc", "--dist", "pareto", *%(mc)r, "--reduced"],
+        "mc-power": ["mc", "--dist", "power", "--gamma", "1.5", *%(mc)r],
     }
     result = {}
     for name, args in runs.items():
@@ -108,12 +110,13 @@ QUAD = """
 
 
 def test_scipy_not_loaded_by_routes_without_it(tmp_path):
-    # neither scipy module is loaded at import or by any route without a
-    # StretchedTail or PowerEndpoint centering value; stretched mc still runs
+    # no scipy module is loaded at import, by any route without a
+    # StretchedTail centering value, or by a power mc that takes no quad
+    # fallback; stretched mc still runs
     footprint = _finish(_start(FOOTPRINT, tmp_path))
     assert footprint.pop("mc-stretched") == EXIT_OK
     assert footprint == {name: [EXIT_OK, []] for name in footprint}
-    assert len(footprint) == 10
+    assert len(footprint) == 11
 
 
 def test_first_use_in_fresh_interpreters_and_quad(tmp_path, capsys):
@@ -130,7 +133,7 @@ def test_first_use_in_fresh_interpreters_and_quad(tmp_path, capsys):
         expected[name] = strip_timestamp(capsys.readouterr().out)
     quad_value = m_p_value(StretchedTail(), 2, 0.5)
 
-    # a fresh interpreter writes this process's bytes; the deterministic
+    # a fresh interpreter writes this process's bytes; StretchedTail's
     # centering imports scipy.special, and on the k = 230 run the first quad
     # fallback, made by a replication block, imports scipy.integrate
     for name in MC_LIGHT:
