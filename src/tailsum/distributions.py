@@ -23,9 +23,10 @@ sequence is tau_p = (n/k) m_p evaluated at the window threshold.  Each
 family has one route, which yields m_1 .. m_pmax at an array of thresholds
 in one call: Pareto a closed form; PowerEndpoint a Gauss-Jacobi rule in
 logs, checked against the rule with half its nodes; and StretchedTail, where
-m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun 7.2), one pass of
-Miller's backward recurrence for the scaled e^(x^2) i^n erfc(x), checked
-against the same pass started twice as deep (Gautschi, SIAM Rev. 1967).
+m_p = (sqrt(pi)/2) i^(p-1) erfc(x) (Abramowitz & Stegun 7.2), the stdlib's
+erfc times the ratios i^n erfc / i^(n-1) erfc from one pass of Miller's
+backward recurrence, checked against the same pass started twice as deep
+(Gautschi, SIAM Rev. 1967).
 (Threshold, order) elements whose check fails take adaptive quadrature
 (``m_p_quadrature``), the oracle of every route.  ``tau_p_at`` and
 ``tau_p`` center at every order in one call, ``m_p_value`` at one order.
@@ -38,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the two functions that use it (StretchedTail's
-# _scaled_iterated_erfc, and m_p_quadrature, which PowerEndpoint reaches only
-# on a fallback): loading it takes most of the package's startup time, and
-# estimate, tables, covariance, oracle and Pareto mc never call them
+# scipy is imported only inside m_p_quadrature, which PowerEndpoint and
+# StretchedTail reach only on a fallback: loading it takes most of the
+# package's startup time and memory, and no other route calls it
 
 from .errors import DomainError
 from .estimators import SortedSample
@@ -256,8 +256,11 @@ class StretchedTail:
         return np.exp(-np.clip(y, 0.0, None) ** 2)
 
     def _m_route(self, pmax, xs):
-        f, ok = _scaled_iterated_erfc(pmax, xs)
-        return (0.5 * math.sqrt(math.pi)) * f * np.exp(-xs * xs)[..., None], ok
+        products, ok = _erfc_ratio_products(pmax, xs)
+        # math.erfc per threshold, as Pareto takes math.exp; it multiplies
+        # last, so a value below the normal range is rounded only once
+        tails = np.array([math.erfc(t) for t in xs.flat]).reshape(xs.shape + (1,))
+        return tails * ((0.5 * math.sqrt(math.pi)) * products), ok
 
 
 # start depth of the Miller recurrence beyond the order wanted; the check
@@ -265,23 +268,23 @@ class StretchedTail:
 _MILLER_DEPTH = 60
 
 
-def _scaled_iterated_erfc(pmax, x):
+def _erfc_ratio_products(pmax, x):
     """
-    f_n = e^(x^2) i^n erfc(x), n < pmax, on a trailing axis at thresholds x
-    by one pass of Miller's backward recurrence, and the check's pass mask.
+    The products r_1 ... r_n, n < pmax, on a trailing axis at thresholds x,
+    of the ratios r_m = i^m erfc(x) / i^(m-1) erfc(x), by one pass of
+    Miller's backward recurrence, and the check's pass mask; i^n erfc(x) is
+    erfc(x) times the n-th product.
 
-    The ratios r_m = f_m / f_(m-1) satisfy r_m = 1 / (2x + 2(m+1) r_(m+1))
-    (from 2(m+1) f_(m+1) = f_(m-1) - 2x f_m); started at depth N from the
-    asymptotic ratio 1 / (x + sqrt(x^2 + 2(N+1))) of the minimal solution,
-    they give f_n = erfcx(x) r_1 ... r_n.  The recurrence runs from
-    N = pmax - 1 + 60 and from 2N; an element passes when the two values
+    The ratios satisfy r_m = 1 / (2x + 2(m+1) r_(m+1)) (from
+    2(m+1) i^(m+1) erfc = i^(m-1) erfc - 2x i^m erfc); started at depth N
+    from the asymptotic ratio 1 / (x + sqrt(x^2 + 2(N+1))) of the minimal
+    solution, they run down to r_1.  The recurrence runs from
+    N = pmax - 1 + 60 and from 2N; an element passes when the two products
     are finite, positive and within 1e-12 relative.  Below x of about 1.2
     (n = 1), 1.4 (n = 7) or 1.8 (n = 29) it mostly fails: there the two
     solutions of the recurrence barely separate, and at x = 0 the even and
     odd orders decouple.
     """
-    from scipy.special import erfcx
-
     shallow = pmax - 1 + _MILLER_DEPTH
     deep = 2 * shallow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -296,8 +299,7 @@ def _scaled_iterated_erfc(pmax, x):
             ratio = 1.0 / (two_x + 2.0 * (m + 1) * ratio)
             if m < pmax:
                 ratios.append(ratio)
-        product = np.cumprod(np.stack([np.ones_like(ratio), *ratios[::-1]], axis=-1), axis=-1)
-        coarse, fine = erfcx(x)[..., None] * product
+        coarse, fine = np.cumprod(np.stack([np.ones_like(ratio), *ratios[::-1]], axis=-1), axis=-1)
         return fine, _passes(coarse, fine)
 
 

@@ -143,7 +143,8 @@ def _block_sampler(dist):
     return sample_top if isinstance(dist, Pareto) else sample_top_renyi
 
 
-# the largest pool measured: 2 threads halved Pareto mc's time on 2 CPUs (n = 1e5, 200 reps)
+# the largest pool measured: 2 threads made Pareto mc 1.27-1.85x as fast as 1 on a shared
+# 2-CPU host, the ratio moving with the host's load (n = 1e5, k = 1e3, 200 reps)
 MAX_THREADS = 2
 
 

@@ -625,6 +625,35 @@ class TestThresholdArrays:
                 expected = stretched_m_p_reference(p, x)
                 assert value == pytest.approx(expected, rel=1e-10, abs=0.0), (p, x)
 
+    def test_stretched_route_matches_erfcx_formula(self):
+        # the former route: (sqrt(pi)/2) erfcx(x) e^(-x^2) r_1 ... r_(p-1),
+        # the check on erfcx times the products of the passes started
+        # pmax-1+60 and twice that deep.  x is on a dyadic grid, so x*x is
+        # exact and e^(-x^2) carries only exp's own rounding; elsewhere the
+        # rounded x*x moves it by up to ~x^2 ulp (5e-14 near x = 26)
+        from scipy.special import erfcx
+
+        pmax = 8
+        xs = np.arange(26 * 1024 + 1) / 1024.0
+        passes = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for depth in (pmax - 1 + 60, 2 * (pmax - 1 + 60)):
+                ratio = 1.0 / (xs + np.sqrt(xs * xs + 2.0 * (depth + 1)))
+                columns = [erfcx(xs)]
+                for m in range(depth, 0, -1):
+                    ratio = 1.0 / (2.0 * xs + 2.0 * (m + 1) * ratio)
+                    if m < pmax:
+                        columns.insert(1, ratio)
+                passes.append(np.cumprod(np.stack(columns, axis=-1), axis=-1))
+            coarse, fine = passes
+            ok = np.isfinite(fine) & (fine > 0.0) & (np.abs(fine - coarse) <= 1e-12 * fine)
+            expected = (0.5 * math.sqrt(math.pi)) * fine * np.exp(-xs * xs)[:, None]
+        values, mask = StretchedTail()._m_route(pmax, xs)
+        assert np.array_equal(mask, ok)
+        assert 0 < ok.sum() < ok.size
+        assert (expected[ok] >= np.finfo(float).tiny).all()
+        assert values[ok] == pytest.approx(expected[ok], rel=1e-14, abs=0.0)
+
     def test_stretched_recurrence_needs_no_quadrature(self, quadrature_calls):
         xs = np.linspace(1.5, 6.0, 91)
         for p in range(1, 9):

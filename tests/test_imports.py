@@ -1,9 +1,9 @@
-"""scipy is imported at first use, inside the two numeric routes that call
-it: StretchedTail's erfcx (scipy.special) and the quad fallback
-(scipy.integrate).  PowerEndpoint's Jacobi rule is numpy's alone, so a power
-mc that never falls back loads no scipy module.  pytest's own warning filter
-imports scipy.integrate into this process, so each check runs a fresh
-interpreter."""
+"""scipy is imported at first use, inside the one numeric route that calls
+it: the quad fallback (scipy.integrate).  PowerEndpoint's Jacobi rule is
+numpy's alone and StretchedTail's recurrence takes the stdlib's erfc, so a
+light-tail mc that never falls back loads no scipy module.  pytest's own
+warning filter imports scipy.integrate into this process, so each check runs
+a fresh interpreter."""
 
 import json
 import os
@@ -22,9 +22,11 @@ TIMEOUT_S = 60
 MC_SMALL = ["--n", "1000", "--pmax", "3", "--reps", "64", "--seed", "5"]
 # at k = 230 the deterministic threshold passes the recurrence's check but
 # some random ones fall below it, so quad is reached only by replication
-# blocks
+# blocks; "stretched-large" is the benchmark's light-tail size
 MC_LIGHT = {
     "stretched": ["--dist", "stretched", *MC_SMALL, "--k", "100"],
+    "stretched-large": ["--dist", "stretched", "--n", "100000", "--k", "1000", "--pmax", "3",
+                        "--reps", "200", "--seed", "1"],
     "power": ["--dist", "power", "--gamma", "1.5", *MC_SMALL, "--k", "100"],
     "stretched-quad": ["--dist", "stretched", *MC_SMALL, "--k", "230"],
 }
@@ -55,7 +57,7 @@ FOOTPRINT = """
     import tailsum.cli as cli
 
     def loaded():
-        return [m for m in ("scipy.special", "scipy.integrate", "scipy.linalg") if m in sys.modules]
+        return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
     with open("obs.txt", "w") as f:
         f.write("\\n".join(str(2.0 ** (i / 7)) for i in range(1, 200)))
@@ -71,12 +73,12 @@ FOOTPRINT = """
         "mc-pareto": ["mc", "--dist", "pareto", *%(mc)r, "--workers", "2"],
         "mc-pareto-reduced": ["mc", "--dist", "pareto", *%(mc)r, "--reduced"],
         "mc-power": ["mc", "--dist", "power", "--gamma", "1.5", *%(mc)r],
+        "mc-stretched": ["mc", "--dist", "stretched", *%(mc)r],
     }
     result = {}
     for name, args in runs.items():
         code = 0 if args is None else cli.main([*args, "--output", name + ".out"])
         result[name] = [code, loaded()]
-    result["mc-stretched"] = cli.main(["mc", "--dist", "stretched", *%(mc)r, "--output", "s.out"])
     print(json.dumps(result))
 """ % {"mc": [*MC_SMALL, "--k", "100"]}
 
@@ -92,11 +94,14 @@ MC_FRESH = """
         fallbacks.append("scipy.integrate" in sys.modules)
         return quadrature(*args)
 
+    def loaded():
+        return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
     dist.m_p_quadrature = recorded
-    before = "scipy.special" in sys.modules
+    before = loaded()
     code = cli.main(["mc", *%r, "--workers", "2", "--output", "mc.out"])
     with open("mc.out") as f:
-        print(json.dumps([before, code, fallbacks, f.read()]))
+        print(json.dumps([before, code, fallbacks, loaded(), f.read()]))
 """
 
 QUAD = """
@@ -110,13 +115,11 @@ QUAD = """
 
 
 def test_scipy_not_loaded_by_routes_without_it(tmp_path):
-    # no scipy module is loaded at import, by any route without a
-    # StretchedTail centering value, or by a power mc that takes no quad
-    # fallback; stretched mc still runs
+    # no scipy module is loaded at import, by any route that never calls
+    # quad, or by a light-tail mc that takes no quad fallback
     footprint = _finish(_start(FOOTPRINT, tmp_path))
-    assert footprint.pop("mc-stretched") == EXIT_OK
     assert footprint == {name: [EXIT_OK, []] for name in footprint}
-    assert len(footprint) == 11
+    assert len(footprint) == 12
 
 
 def test_first_use_in_fresh_interpreters_and_quad(tmp_path, capsys):
@@ -133,18 +136,19 @@ def test_first_use_in_fresh_interpreters_and_quad(tmp_path, capsys):
         expected[name] = strip_timestamp(capsys.readouterr().out)
     quad_value = m_p_value(StretchedTail(), 2, 0.5)
 
-    # a fresh interpreter writes this process's bytes; StretchedTail's
-    # centering imports scipy.special, and on the k = 230 run the first quad
-    # fallback, made by a replication block, imports scipy.integrate
+    # a fresh interpreter writes this process's bytes; only on the k = 230
+    # run does a quad fallback, made by a replication block, import
+    # scipy.integrate, and a run without one loads no scipy module
     for name in MC_LIGHT:
-        before, code, fallbacks, out = _finish(procs[name])
-        assert (before, code) == (False, EXIT_OK)
+        before, code, fallbacks, after, out = _finish(procs[name])
+        assert (before, code) == ([], EXIT_OK)
         assert strip_timestamp(out) == expected[name]
         if name == "stretched-quad":
             assert len(fallbacks) > 1
             assert fallbacks[0] is False
+            assert "scipy.integrate" in after
         else:
-            assert fallbacks == []
+            assert (fallbacks, after) == ([], [])
 
     # m_2 at 0.5 fails the recurrence's check, so it imports scipy.integrate
     # for the quad fallback, and gives this process's value bit for bit

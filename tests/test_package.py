@@ -91,9 +91,9 @@ def test_readme_library_example_runs():
     assert abs(namespace["gamma"] - 2.0) <= 0.05
 
 
-# backticked words of the module overview that name no code: a scipy
-# function loaded lazily, the command and the package
-NOT_CODE = {"erfcx", "mc", "tailsum"}
+# backticked words of the module overview that name no code: the command
+# and the package
+NOT_CODE = {"mc", "tailsum"}
 # what a dataclass field without a class default resolves to
 FIELD = object()
 
